@@ -3,7 +3,7 @@
 // Default mode runs seeded kill/recover soaks for TxnLog (PosixDisk) and
 // Mailboat (PosixFilesys) in both regimes and prints one row per
 // (system, regime) cell; `--json <path>` UPSERTS the rows into the shared
-// BENCH_refine.json document (rows whose slug starts with "crashreal-" are
+// BENCH_refine.json document (rows with the same (system, por) are
 // replaced, everything else is preserved verbatim).
 //
 // `--replay <trace>`: load a pcc-crashreal v1 artifact written when a soak
@@ -20,8 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -39,67 +37,6 @@ using crashreal::SoakSummary;
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
       .count();
-}
-
-std::string RenderRow(const PorJsonRow& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"system\": \"%s\", \"por\": %s, \"executions\": %llu, "
-                "\"deduped\": %llu, \"pruned\": %llu, \"histories\": %llu, "
-                "\"violations\": %llu, \"ms\": %.1f, \"peak_rss\": %llu, "
-                "\"outcome\": \"%s\"}",
-                r.system.c_str(), r.por ? "true" : "false",
-                static_cast<unsigned long long>(r.executions),
-                static_cast<unsigned long long>(r.deduped),
-                static_cast<unsigned long long>(r.pruned),
-                static_cast<unsigned long long>(r.histories),
-                static_cast<unsigned long long>(r.violations), r.ms,
-                static_cast<unsigned long long>(r.peak_rss), r.outcome.c_str());
-  return buf;
-}
-
-// Upsert with the same field order / comma placement as bench_json.h, so
-// bench_check's fixed-order scan keeps working on the merged document.
-bool UpsertJson(const std::string& path, const std::vector<PorJsonRow>& rows) {
-  std::string bench = "bench_crashreal";
-  std::vector<std::string> kept;
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    while (std::getline(in, line)) {
-      size_t at = line.find("\"bench\": \"");
-      if (at != std::string::npos) {
-        at += std::strlen("\"bench\": \"");
-        bench = line.substr(at, line.find('"', at) - at);
-        continue;
-      }
-      if (line.find("{\"system\": \"") == std::string::npos) {
-        continue;
-      }
-      if (line.find("{\"system\": \"crashreal-") != std::string::npos) {
-        continue;  // replaced below
-      }
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      kept.push_back(line);
-    }
-  }
-  for (const PorJsonRow& r : rows) {
-    kept.push_back(RenderRow(r));
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "--json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench.c_str());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    std::fprintf(f, "%s%s\n", kept[i].c_str(), i + 1 < kept.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 std::string DefaultWorkdir() {
@@ -264,7 +201,7 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
   }
-  if (json_path != nullptr && !UpsertJson(json_path, rows)) {
+  if (json_path != nullptr && !benchjson::UpsertPorJson(json_path, "bench_crashreal", rows)) {
     return 2;
   }
   return exit_code;

@@ -19,7 +19,7 @@
 // tmpfs — fsync must cost something or group commit has nothing to save).
 // Sweeps client count x group-commit on/off plus an event-loop-thread
 // sweep, reports p50/p99 latency and the saturation point, and with
-// `--json <path>` upserts fig11s- rows into BENCH_refine.json.
+// `--json <path>` upserts fig11s- and faultnet- rows into BENCH_refine.json.
 #include <unistd.h>
 
 #include <algorithm>
@@ -560,11 +560,9 @@ int RunAtScale(int argc, char** argv) {
   }
 
   if (json_path != nullptr) {
-    if (!perennial::benchjson::UpsertJsonRows(json_path, "fig11s-", rows, "bench_fig11")) {
-      return 1;
-    }
-    if (!perennial::benchjson::UpsertJsonRows(json_path, "faultnet-", faultnet_rows,
-                                              "bench_fig11")) {
+    std::vector<std::string> all_rows = rows;
+    all_rows.insert(all_rows.end(), faultnet_rows.begin(), faultnet_rows.end());
+    if (!perennial::benchjson::UpsertJsonRows(json_path, all_rows, "bench_fig11")) {
       return 1;
     }
     std::printf("updated %s (%zu fig11s- rows, %zu faultnet- rows)\n", json_path, rows.size(),

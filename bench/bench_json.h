@@ -1,9 +1,9 @@
-// Machine-readable benchmark output: the `--json <path>` flag shared by
-// bench_sec91_patterns and bench_micro. Each bench collects one PorJsonRow
-// per (system, POR on/off) cell and writes them as a single JSON document
-// (conventionally BENCH_refine.json), so EXPERIMENTS.md tables and CI
-// regression checks can consume checker-reduction numbers without scraping
-// the human-oriented text tables.
+// Machine-readable benchmark output: the `--json <path>` flag shared by the
+// benches. Each bench collects one row per (system, POR on/off) cell and
+// upserts them into a single JSON document (conventionally
+// BENCH_refine.json) that every bench shares, so EXPERIMENTS.md tables and
+// CI regression checks can consume the numbers without scraping the
+// human-oriented text tables.
 #ifndef PERENNIAL_BENCH_BENCH_JSON_H_
 #define PERENNIAL_BENCH_BENCH_JSON_H_
 
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,88 +113,123 @@ inline bool FilterMatches(const char* filter, std::string_view name, std::string
          slug.find(filter) != std::string_view::npos;
 }
 
-// Writes `rows` as {"bench": ..., "rows": [...]}; returns false (with a
-// message on stderr) if the file cannot be opened.
-inline bool WritePorJson(const std::string& path, const std::string& bench,
-                         const std::vector<PorJsonRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+// One row as the single-line object every BENCH document holds. The
+// perf-row-only CPU fields are not emitted (bench_check tolerates absent
+// keys).
+inline std::string RenderPorRow(const PorJsonRow& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"system\": \"%s\", \"por\": %s, \"executions\": %llu, "
+                "\"deduped\": %llu, \"pruned\": %llu, \"histories\": %llu, "
+                "\"violations\": %llu, \"ms\": %.1f, \"peak_rss\": %llu, "
+                "\"outcome\": \"%s\"}",
+                r.system.c_str(), r.por ? "true" : "false",
+                static_cast<unsigned long long>(r.executions),
+                static_cast<unsigned long long>(r.deduped),
+                static_cast<unsigned long long>(r.pruned),
+                static_cast<unsigned long long>(r.histories),
+                static_cast<unsigned long long>(r.violations), r.ms,
+                static_cast<unsigned long long>(r.peak_rss), r.outcome.c_str());
+  return buf;
+}
+
+// The upsert key of a rendered row line: its "system" slug and "por" flag
+// (the same system appears once with POR off and once with it on). Empty
+// for a structural line.
+inline std::string RowKey(std::string_view line) {
+  auto value_of = [&](std::string_view field) -> std::string_view {
+    size_t at = line.find(field);
+    if (at == std::string_view::npos) {
+      return {};
+    }
+    at += field.size();
+    return line.substr(at, line.find_first_of("\",}", at) - at);
+  };
+  std::string_view system = value_of("{\"system\": \"");
+  if (system.empty()) {
+    return {};
+  }
+  return std::string(system) + "|" + std::string(value_of("\"por\": "));
+}
+
+// Upserts pre-rendered single-line row objects (no trailing comma) into the
+// BENCH json document at `path`, keyed on (system, por): an existing row
+// with an incoming row's key is replaced in place, every other existing row
+// is kept verbatim, and rows with new keys are appended. Benches therefore
+// compose in any order without dropping each other's baselines. The
+// document is written to a temporary file and renamed over `path`, so a
+// failed write leaves the old document intact. `default_bench` names a
+// document created from scratch.
+inline bool UpsertJsonRows(const std::string& path, const std::vector<std::string>& rendered_rows,
+                           const std::string& default_bench) {
+  std::map<std::string, size_t> incoming;
+  for (size_t i = 0; i < rendered_rows.size(); ++i) {
+    incoming[RowKey(rendered_rows[i])] = i;
+  }
+  std::string bench = default_bench;
+  std::vector<std::string> rows;
+  std::vector<bool> placed(rendered_rows.size(), false);
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    size_t at = line.find("\"bench\": \"");
+    if (at != std::string::npos) {
+      at += std::strlen("\"bench\": \"");
+      bench = line.substr(at, line.find('"', at) - at);
+      continue;
+    }
+    while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
+      line.pop_back();
+    }
+    const std::string key = RowKey(line);
+    if (key.empty()) {
+      continue;  // structural line
+    }
+    line.erase(0, line.find('{'));
+    auto it = incoming.find(key);
+    if (it != incoming.end()) {
+      if (placed[it->second]) {
+        continue;  // a duplicate of a row already replaced
+      }
+      placed[it->second] = true;
+      line = rendered_rows[it->second];
+    }
+    rows.push_back(line);
+  }
+  for (size_t i = 0; i < rendered_rows.size(); ++i) {
+    if (!placed[i] && incoming[RowKey(rendered_rows[i])] == i) {
+      rows.push_back(rendered_rows[i]);
+    }
+  }
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "--json: cannot open %s for writing\n", path.c_str());
+    std::fprintf(stderr, "--json: cannot open %s for writing\n", tmp.c_str());
     return false;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench.c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
-    const PorJsonRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"system\": \"%s\", \"por\": %s, \"executions\": %llu, "
-                 "\"deduped\": %llu, \"pruned\": %llu, \"histories\": %llu, "
-                 "\"violations\": %llu, \"ms\": %.1f, \"peak_rss\": %llu, "
-                 "\"outcome\": \"%s\"}%s\n",
-                 r.system.c_str(), r.por ? "true" : "false",
-                 static_cast<unsigned long long>(r.executions),
-                 static_cast<unsigned long long>(r.deduped),
-                 static_cast<unsigned long long>(r.pruned),
-                 static_cast<unsigned long long>(r.histories),
-                 static_cast<unsigned long long>(r.violations), r.ms,
-                 static_cast<unsigned long long>(r.peak_rss), r.outcome.c_str(),
-                 i + 1 < rows.size() ? "," : "");
-    // The CPU fields are perf-row-only; WritePorJson serves the checker
-    // sweeps, whose rows leave them unset, so nothing extra is emitted
-    // here (bench_check's key-based scan tolerates absent keys).
+    std::fprintf(f, "    %s%s\n", rows[i].c_str(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const bool written = std::fclose(f) == 0;
+  if (!written || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "--json: cannot replace %s\n", path.c_str());
+    std::remove(tmp.c_str());
+    return false;
+  }
   return true;
 }
 
-// Upsert pre-rendered row lines into an existing BENCH json document:
-// every committed row whose system slug does NOT start with `drop_prefix`
-// is preserved verbatim, the old `drop_prefix` rows are dropped, and
-// `rendered_rows` (single-line `{"system": ...}` objects, no trailing
-// comma) are appended. Keeps the comma placement WritePorJson uses so
-// repeated upserts from different benches compose.
-inline bool UpsertJsonRows(const std::string& path, const std::string& drop_prefix,
-                           const std::vector<std::string>& rendered_rows,
-                           const std::string& default_bench) {
-  std::string bench = default_bench;
-  std::vector<std::string> kept;
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    while (std::getline(in, line)) {
-      size_t at = line.find("\"bench\": \"");
-      if (at != std::string::npos) {
-        at += std::strlen("\"bench\": \"");
-        bench = line.substr(at, line.find('"', at) - at);
-        continue;
-      }
-      if (line.find("{\"system\": \"") == std::string::npos) {
-        continue;  // structural line
-      }
-      if (line.find("{\"system\": \"" + drop_prefix) != std::string::npos) {
-        continue;  // replaced below
-      }
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      kept.push_back(line);
-    }
+// Renders `rows` and upserts them (see UpsertJsonRows).
+inline bool UpsertPorJson(const std::string& path, const std::string& bench,
+                          const std::vector<PorJsonRow>& rows) {
+  std::vector<std::string> rendered;
+  rendered.reserve(rows.size());
+  for (const PorJsonRow& r : rows) {
+    rendered.push_back(RenderPorRow(r));
   }
-  for (const std::string& r : rendered_rows) {
-    kept.push_back("    " + r);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "--json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench.c_str());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    std::fprintf(f, "%s%s\n", kept[i].c_str(), i + 1 < kept.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  return UpsertJsonRows(path, rendered, bench);
 }
 
 }  // namespace perennial::benchjson

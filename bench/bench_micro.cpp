@@ -392,10 +392,10 @@ int main(int argc, char** argv) {
       static_cast<int>(after_filter.size()), after_filter.data(), &passthrough);
   if (json_path != nullptr) {
     auto rows = RunPorJsonSweep(filter);
-    if (!perennial::benchjson::WritePorJson(json_path, "bench_micro", rows)) {
+    if (!perennial::benchjson::UpsertPorJson(json_path, "bench_micro", rows)) {
       return 1;
     }
-    std::printf("wrote %zu before/after rows to %s\n", rows.size(), json_path);
+    std::printf("upserted %zu before/after rows into %s\n", rows.size(), json_path);
   }
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());

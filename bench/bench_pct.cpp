@@ -7,8 +7,8 @@
 //   * pct@B/4, pct@B/2, pct@B — PCT d=3, seed 1, growing run budgets;
 //   * swarm   — 4 seed batches splitting the full budget.
 // With `--json <path>` the rows are UPSERTED into the shared
-// BENCH_refine.json document: existing rows whose system slug starts with
-// "pct-" are replaced, all other benches' rows are preserved verbatim.
+// BENCH_refine.json document: existing rows with the same (system, por)
+// are replaced, all other rows are preserved verbatim.
 // `bench_check` re-runs the cheapest PCT cell against the committed row.
 //
 // `--replay <trace>`: load a pcc-trace v1 file (written by the minimizer),
@@ -17,8 +17,6 @@
 //   bench_pct --replay <file>.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,70 +56,6 @@ PorJsonRow MakeRow(const std::string& system, const Report& r, double ms) {
     row.outcome = "truncated";  // budget exhausted before the bug: the DFS miss rows
   }
   return row;
-}
-
-// Renders rows with the exact field order bench_json.h writes, so upserted
-// documents stay parseable by bench_check's fixed-order scan.
-std::string RenderRow(const PorJsonRow& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"system\": \"%s\", \"por\": %s, \"executions\": %llu, "
-                "\"deduped\": %llu, \"pruned\": %llu, \"histories\": %llu, "
-                "\"violations\": %llu, \"ms\": %.1f, \"peak_rss\": %llu, "
-                "\"outcome\": \"%s\"}",
-                r.system.c_str(), r.por ? "true" : "false",
-                static_cast<unsigned long long>(r.executions),
-                static_cast<unsigned long long>(r.deduped),
-                static_cast<unsigned long long>(r.pruned),
-                static_cast<unsigned long long>(r.histories),
-                static_cast<unsigned long long>(r.violations), r.ms,
-                static_cast<unsigned long long>(r.peak_rss), r.outcome.c_str());
-  return buf;
-}
-
-// Upsert: preserve every committed row whose system does not start with
-// "pct-", drop the old pct- rows, append the fresh ones, and rewrite the
-// document with the comma placement bench_json.h uses.
-bool UpsertJson(const std::string& path, const std::vector<PorJsonRow>& rows) {
-  std::string bench = "bench_pct";
-  std::vector<std::string> kept;
-  std::ifstream in(path);
-  if (in) {
-    std::string line;
-    while (std::getline(in, line)) {
-      size_t at = line.find("\"bench\": \"");
-      if (at != std::string::npos) {
-        at += std::strlen("\"bench\": \"");
-        bench = line.substr(at, line.find('"', at) - at);
-        continue;
-      }
-      if (line.find("{\"system\": \"") == std::string::npos) {
-        continue;  // structural line
-      }
-      if (line.find("{\"system\": \"pct-") != std::string::npos) {
-        continue;  // replaced below
-      }
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      kept.push_back(line);
-    }
-  }
-  for (const PorJsonRow& r : rows) {
-    kept.push_back(RenderRow(r));
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "--json: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench.c_str());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    std::fprintf(f, "%s%s\n", kept[i].c_str(), i + 1 < kept.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 int Replay(const char* path) {
@@ -207,7 +141,7 @@ int main(int argc, char** argv) {
       emit(std::string(info.slug) + "-swarm", info.budget, swarm, MsSince(start));
     }
   });
-  if (json_path != nullptr && !UpsertJson(json_path, rows)) {
+  if (json_path != nullptr && !benchjson::UpsertPorJson(json_path, "bench_pct", rows)) {
     return 1;
   }
   return 0;

@@ -439,8 +439,8 @@ int main(int argc, char** argv) {
       "completing a committed transaction.\n");
 
   if (json_path != nullptr) {
-    if (perennial::benchjson::WritePorJson(json_path, "bench_sec91_patterns", json_rows)) {
-      std::printf("\nwrote %zu before/after rows to %s\n", json_rows.size(), json_path);
+    if (perennial::benchjson::UpsertPorJson(json_path, "bench_sec91_patterns", json_rows)) {
+      std::printf("\nupserted %zu before/after rows into %s\n", json_rows.size(), json_path);
     } else {
       return 1;
     }

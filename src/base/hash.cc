@@ -1,46 +1,50 @@
 #include "src/base/hash.h"
 
+#include <cstring>
+
 namespace perennial {
 
 namespace {
 
-// FNV-1a 128-bit parameters (offset basis 0x6c62272e07bb014262b821756295c58d,
-// prime 2^88 + 2^8 + 0x3b).
-constexpr unsigned __int128 FnvOffsetBasis() {
-  return (static_cast<unsigned __int128>(0x6c62272e07bb0142ULL) << 64) | 0x62b821756295c58dULL;
-}
-
-constexpr unsigned __int128 FnvPrime() {
-  return (static_cast<unsigned __int128>(1) << 88) | 0x13bULL;
+// Murmur3's 64-bit finalizer: a bijection on 64 bits with full avalanche.
+uint64_t Avalanche(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
 }
 
 }  // namespace
 
-Fnv128::Fnv128() : state_(FnvOffsetBasis()) {}
+// Distinct nonzero lane seeds (the fractional digits of pi), so the lanes
+// start apart and an all-zero input does not leave them at zero.
+Hasher128::Hasher128() : a_(0x243f6a8885a308d3ULL), b_(0x13198a2e03707344ULL) {}
 
-void Fnv128::MixBytes(const void* data, std::size_t n) {
+void Hasher128::MixBytes(const void* data, std::size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    state_ ^= p[i];
-    state_ *= FnvPrime();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    MixU64(w);
+  }
+  if (n > 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    MixU64(w);
   }
 }
 
-void Fnv128::MixU64(uint64_t v) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-  MixBytes(bytes, sizeof(bytes));
-}
-
-void Fnv128::MixString(std::string_view s) {
+void Hasher128::MixString(std::string_view s) {
   MixU64(s.size());
   MixBytes(s.data(), s.size());
 }
 
-Hash128 Fnv128::digest() const {
-  return Hash128{static_cast<uint64_t>(state_ >> 64), static_cast<uint64_t>(state_)};
+// (a, b) -> (Avalanche(b), Avalanche(a + b)) is a bijection, so the
+// finalizer adds no collisions to the lanes' own.
+Hash128 Hasher128::digest() const {
+  return Hash128{Avalanche(b_), Avalanche(a_ + b_)};
 }
 
 }  // namespace perennial

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/refine/history.h"
 #include "src/tsys/transition.h"
 
@@ -48,6 +49,10 @@ struct MailSpec {
 
   uint64_t num_users = 1;
   std::vector<std::string> id_pool;  // filled by Prepare
+
+  // The linearizer resumes a retained frontier spine only under an equal
+  // prepared spec (linearize.h).
+  friend bool operator==(const MailSpec&, const MailSpec&) = default;
 
   State Initial() const {
     State s;
@@ -144,20 +149,20 @@ struct MailSpec {
     return {std::move(next)};
   }
 
-  static std::string StateKey(const State& s) {
-    std::string key;
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.boxes.size());
     for (const auto& [user, box] : s.boxes) {
-      key += std::to_string(user) + "{";
+      h->MixU64(user);
+      h->MixU64(box.size());
       for (const auto& [id, contents] : box) {
-        key += id + "=" + contents + ";";
+        h->MixString(id);
+        h->MixString(contents);
       }
-      key += "}";
     }
-    key += "L:";
+    h->MixU64(s.locked.size());
     for (uint64_t u : s.locked) {
-      key += std::to_string(u) + ",";
+      h->MixU64(u);
     }
-    return key;
   }
   static std::string RetKey(const Ret& r) {
     std::string key = r.id + "|";

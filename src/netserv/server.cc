@@ -498,7 +498,9 @@ void MailNetServer::AcceptorMain() {
         }
         // Overload shedding / drain: refuse at the door with an honest 421
         // (a retriable code, unlike a silent RST) instead of queueing work
-        // the executors can't keep up with.
+        // the executors can't keep up with. Counted before the farewell is
+        // sent: a client that has seen the 421 and the EOF must also see
+        // the shed in shed_connects().
         bool drain = draining_.load(std::memory_order_relaxed);
         if (drain || (options_.max_conns > 0 &&
                       live_conns_.load(std::memory_order_relaxed) >=
@@ -507,9 +509,9 @@ void MailNetServer::AcceptorMain() {
               which == 0
                   ? (drain ? "421 server shutting down\r\n" : "421 too busy, try again later\r\n")
                   : (drain ? "-ERR server shutting down\r\n" : "-ERR busy, try again later\r\n");
+          shed_connects_.fetch_add(1, std::memory_order_relaxed);
           (void)SendSome(cfd, msg, std::strlen(msg));
           ::close(cfd);
-          shed_connects_.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         live_conns_.fetch_add(1, std::memory_order_relaxed);

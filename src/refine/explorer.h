@@ -607,8 +607,8 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
     std::memcpy(&u, &d, sizeof(u));
     return u;
   };
-  Fnv128 f;
-  f.MixString("pcc-exploration-config-v2");
+  Hasher128 f;
+  f.MixString("pcc-exploration-config-v3");
   f.MixString(options.run_id);
   f.MixU64(static_cast<uint64_t>(options.mode));
   f.MixU64(static_cast<uint64_t>(static_cast<int64_t>(options.max_crashes)));

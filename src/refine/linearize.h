@@ -48,14 +48,22 @@
 //   State Initial() const;
 //   tsys::Outcome<State, Ret> Step(const State&, const Op&) const;
 //   std::vector<State> CrashSteps(const State&) const;
-//   static std::string StateKey(const State&); // canonical, injective
+//   static void MixState(Hasher128*, const State&); // injective encoding
 //   static std::string RetKey(const Ret&);     // canonical, injective
 //   static std::string OpName(const Op&);      // for messages
 //
+// MixState feeds a state into the config fingerprint field by field
+// (length-prefixing every variable-size part), so deduplicating a config
+// renders no string for its state.
+//
 // Specs with an optional `Prepare(events)` hook (data-dependent
 // nondeterminism, e.g. Mailboat's message-id pool) read the WHOLE history
-// before stepping; their frontiers are suffix-dependent, so the prefix
-// cache — and the cross-history spine below — is bypassed for them.
+// before stepping, and must be equality-comparable. A frontier is a pure
+// function of the event prefix AND the prepared spec, so the cross-history
+// spine below is resumed only when the newly prepared spec compares equal
+// to the one the spine was built with; otherwise the search restarts from
+// slot 0. The prefix memo cache stays off for them: its key is the event
+// prefix alone.
 //
 // HOT PATH (PR 4): the checker owns a per-search ARENA that is reset, not
 // freed, between histories. Frontiers live in a spine_ vector where
@@ -75,6 +83,7 @@
 #ifndef PERENNIAL_SRC_REFINE_LINEARIZE_H_
 #define PERENNIAL_SRC_REFINE_LINEARIZE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -132,7 +141,8 @@ class LinearizabilityChecker {
   using FrontierPtr = std::shared_ptr<const Frontier>;
   using FrontierCache = ShardedMemo<FrontierPtr>;
 
-  explicit LinearizabilityChecker(const Spec* spec) : spec_storage_(*spec), spec_(&spec_storage_) {}
+  explicit LinearizabilityChecker(const Spec* spec)
+      : spec_storage_(*spec), spec_(&spec_storage_), spine_spec_(*spec) {}
 
   // Optional prefix-frontier memoization (ExplorerOptions::
   // memoize_spec_prefixes); the cache may be shared across checkers and
@@ -152,33 +162,39 @@ class LinearizabilityChecker {
   std::optional<std::string> Check(const Hist& history, size_t reuse_events = 0) {
     const std::vector<typename Hist::Event>& events = history.events;
     states_explored_ = 0;
-    bool cacheable = cache_ != nullptr;
-    bool resumable = true;
-    // Specs with data-dependent nondeterminism (e.g. Mailboat's random
-    // message ids) pre-scan the history to bound their branch sets — their
-    // frontiers depend on the suffix, so they never touch the cache and
-    // never resume from a previous history's spine.
-    if constexpr (requires(Spec& s) { s.Prepare(events); }) {
-      spec_storage_.Prepare(events);
-      cacheable = false;
-      resumable = false;
-    }
+    resumed_events_ = 0;
     // A helped event needs a crash to snapshot against; recovery only
     // emits kHelped after a crash, so this is a harness-integrity check.
+    // The spine is not rebuilt for this history, so it may not be resumed.
     bool seen_crash = false;
     for (const auto& e : events) {
       if (e.kind == Hist::Kind::kCrash) {
         seen_crash = true;
       } else if (e.kind == Hist::Kind::kHelped && !seen_crash) {
+        spine_ok_ = 0;
         return "helped event with no preceding crash";
       }
+    }
+    bool cacheable = cache_ != nullptr;
+    bool resumable = true;
+    // Specs with data-dependent nondeterminism (e.g. Mailboat's random
+    // message ids) pre-scan the history to bound their branch sets. Their
+    // frontiers depend on the prepared spec as well as the prefix: the
+    // spine is resumable only under an equal prepared spec, and the cache
+    // (keyed by the prefix alone) is never used.
+    if constexpr (kPrepares) {
+      static_assert(std::equality_comparable<Spec>,
+                    "a spec with Prepare() must define operator==");
+      spec_storage_.Prepare(events);
+      cacheable = false;
+      resumable = spec_storage_ == spine_spec_;
     }
 
     // Prefix fingerprints: fp_[i] covers events[0..i).
     if (cacheable) {
       fp_.clear();
       fp_.reserve(events.size() + 1);
-      Fnv128 f;
+      Hasher128 f;
       fp_.push_back(f.digest());
       for (const auto& e : events) {
         MixEvent<Spec>(&f, e);
@@ -189,18 +205,22 @@ class LinearizabilityChecker {
     // Pick the resume point: the deepest spine frontier within the BOTH
     // shared AND contiguously-valid prefix (spine_ok_ — a memo-cache hit
     // can leave a hole of stale slots below it, see below), or slot 0
-    // (built on first use; rebuilt every time for Prepare specs, whose
-    // Initial may observe prepared data).
+    // (built on first use, and whenever a Prepare spec's prepared data
+    // changed — Initial may observe it).
     size_t resume = 0;
     if (resumable && spine_ok_ > 0) {
       resume = std::min(std::min(reuse_events, spine_ok_ - 1), events.size());
     } else {
+      if constexpr (kPrepares) {
+        spine_spec_ = spec_storage_;
+      }
       EnsureSlot(0);
       BuildInitial(&spine_[0]);
       spine_states_[0] = 0;
       spine_ok_ = 1;
     }
     const size_t pre_hit_resume = resume;
+    resumed_events_ = resume;
     // A cached prefix deeper than the spine wins. The hit is used BY
     // POINTER (never copied into the spine — gc-sized frontiers make that
     // copy the dominant cost); the slot it logically occupies stays stale,
@@ -259,6 +279,11 @@ class LinearizabilityChecker {
   }
 
   uint64_t states_explored() const { return states_explored_; }
+
+  // Leading events of the last checked history whose frontiers came from
+  // the retained spine instead of being derived (0: the search started at
+  // the initial frontier, or the last Check returned before searching).
+  size_t resumed_events() const { return resumed_events_; }
 
   // Arena introspection for the reset-between-histories regression test:
   // retained capacity must plateau across same-shaped histories.
@@ -320,19 +345,16 @@ class LinearizabilityChecker {
     }
   }
 
-  // 128-bit config fingerprint for frontier dedup (replaces the serialized
-  // string key: no per-config heap allocation beyond the Key renderings).
+  // 128-bit config fingerprint for frontier dedup: the state through
+  // Spec::MixState, so no string is rendered for it (RetKey still renders
+  // the chosen-but-unreturned responses).
   // pending is omitted: it equals (ops invoked since the last crash) minus
   // committed, both of which the fingerprint already determines. Collisions
   // would merge two distinct configs; at 128 bits that is as improbable as
   // the history-fingerprint collisions the dedup layer already accepts.
   static Hash128 ConfigFp(const Config& c) {
-    Fnv128 f;
-    if constexpr (requires(Fnv128* fp, const State& s) { Spec::MixState(fp, s); }) {
-      Spec::MixState(&f, c.state);
-    } else {
-      f.MixString(Spec::StateKey(c.state));
-    }
+    Hasher128 f;
+    Spec::MixState(&f, c.state);
     f.MixU64(c.linearized.size());
     for (const auto& [id, ret] : c.linearized) {
       f.MixU64(id);
@@ -442,10 +464,17 @@ class LinearizabilityChecker {
     }
   }
 
+  static constexpr bool kPrepares =
+      requires(Spec& s, const std::vector<typename Hist::Event>& ev) { s.Prepare(ev); };
+
   Spec spec_storage_;
   const Spec* spec_;
+  // Prepare specs only: the prepared spec spine_ was built with. A Check
+  // whose prepared spec differs rebuilds the spine from slot 0.
+  Spec spine_spec_;
   FrontierCache* cache_ = nullptr;
   uint64_t states_explored_ = 0;
+  size_t resumed_events_ = 0;
   // --- Per-search arena: reset between histories, never freed ---
   std::vector<Frontier> spine_;          // spine_[i]: frontier after events[0..i)
   std::vector<uint64_t> spine_states_;   // cumulative states count at spine_[i]

@@ -45,10 +45,10 @@ namespace perennial::refine {
 // Mixes one history event into a streaming fingerprint. Factored out of
 // FingerprintHistory so prefix fingerprints can be built incrementally: the
 // fingerprint of events[0..i) is a pure fold of MixEvent over the prefix,
-// and Fnv128 is copyable, so each prefix digest costs O(1) on top of the
+// and Hasher128 is copyable, so each prefix digest costs O(1) on top of the
 // previous one.
 template <typename Spec>
-void MixEvent(Fnv128* f, const typename History<Spec>::Event& e) {
+void MixEvent(Hasher128* f, const typename History<Spec>::Event& e) {
   f->MixU64(static_cast<uint64_t>(e.kind));
   f->MixU64(e.op_id);
   switch (e.kind) {
@@ -72,7 +72,7 @@ void MixEvent(Fnv128* f, const typename History<Spec>::Event& e) {
 // injective renderings (true of every spec in this repo).
 template <typename Spec>
 Hash128 FingerprintHistory(const History<Spec>& history) {
-  Fnv128 f;
+  Hasher128 f;
   for (const auto& e : history.events) {
     MixEvent<Spec>(&f, e);
   }

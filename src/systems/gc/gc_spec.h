@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::systems {
@@ -70,12 +71,12 @@ struct GcSpec {
     return out;
   }
 
-  static std::string StateKey(const State& s) {
-    std::string key = std::to_string(s.durable) + "|";
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.durable);
+    h->MixU64(s.buffer.size());
     for (uint64_t v : s.buffer) {
-      key += std::to_string(v) + ",";
+      h->MixU64(v);
     }
-    return key;
   }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {

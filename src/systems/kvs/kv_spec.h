@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::systems {
@@ -61,12 +62,11 @@ struct KvSpec {
 
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) {
-    std::string key;
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.values.size());
     for (uint64_t v : s.values) {
-      key += std::to_string(v) + ",";
+      h->MixU64(v);
     }
-    return key;
   }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::systems {
@@ -37,8 +38,9 @@ struct PairSpec {
   // Updates are atomic even across crashes: nothing is lost, nothing tears.
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) {
-    return std::to_string(s.a) + "," + std::to_string(s.b);
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.a);
+    h->MixU64(s.b);
   }
   static std::string RetKey(const Ret& r) {
     return std::to_string(r.first) + "," + std::to_string(r.second);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::systems {
@@ -44,12 +45,11 @@ struct ReplSpec {
   // crash : ret tt — no data is lost (Figure 3).
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) {
-    std::string key;
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.blocks.size());
     for (uint64_t b : s.blocks) {
-      key += std::to_string(b) + ",";
+      h->MixU64(b);
     }
-    return key;
   }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::systems {
@@ -57,12 +58,11 @@ struct TxnSpec {
 
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) {
-    std::string key;
+  static void MixState(Hasher128* h, const State& s) {
+    h->MixU64(s.values.size());
     for (uint64_t v : s.values) {
-      key += std::to_string(v) + ",";
+      h->MixU64(v);
     }
-    return key;
   }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {

@@ -1,4 +1,5 @@
-// Tests for src/base: status, rand, strutil, loc, table.
+// Tests for src/base: status, rand, strutil, loc, table, hash.
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -204,15 +205,15 @@ TEST(Loc, CodeAfterBlockCommentOnSameLineCounts) {
 }
 
 TEST(Hash, DeterministicAndOrderSensitive) {
-  Fnv128 a;
+  Hasher128 a;
   a.MixU64(1);
   a.MixU64(2);
-  Fnv128 b;
+  Hasher128 b;
   b.MixU64(1);
   b.MixU64(2);
   EXPECT_EQ(a.digest(), b.digest());
 
-  Fnv128 swapped;
+  Hasher128 swapped;
   swapped.MixU64(2);
   swapped.MixU64(1);
   EXPECT_NE(a.digest(), swapped.digest());
@@ -220,13 +221,78 @@ TEST(Hash, DeterministicAndOrderSensitive) {
 }
 
 TEST(Hash, LengthPrefixPreventsStringAliasing) {
-  Fnv128 a;
+  Hasher128 a;
   a.MixString("ab");
   a.MixString("c");
-  Fnv128 b;
+  Hasher128 b;
   b.MixString("a");
   b.MixString("bc");
   EXPECT_NE(a.digest(), b.digest());
+}
+
+TEST(Hash, ZeroPaddedTailsStayDistinctAsStrings) {
+  // The last partial word is zero-padded, so only the length prefix tells
+  // "" from "\0" from "\0\0"...; check it does, across word boundaries.
+  std::set<Hash128> digests;
+  for (size_t n = 0; n <= 17; ++n) {
+    Hasher128 h;
+    h.MixString(std::string(n, '\0'));
+    digests.insert(h.digest());
+  }
+  EXPECT_EQ(digests.size(), 18u);
+}
+
+// 2^20 sequential inputs, each with one single-bit flip (the flipped bit
+// cycles through all 64): no two distinct inputs share a 128-bit digest,
+// the low 16 bits of `lo` (the linearizer's hash-set bucket index) are
+// evenly spread, and each of them flips for about half of the bit flips.
+TEST(Hash, SequentialInputsAndBitFlipsSpreadWithoutCollisions) {
+  constexpr uint64_t kInputs = uint64_t{1} << 20;
+  constexpr size_t kBuckets = size_t{1} << 16;
+  auto digest_of = [](uint64_t v) {
+    Hasher128 h;
+    h.MixU64(v);
+    return h.digest();
+  };
+  std::vector<uint64_t> inputs;
+  inputs.reserve(2 * kInputs);
+  std::vector<uint64_t> flips_per_bit(16, 0);
+  for (uint64_t i = 0; i < kInputs; ++i) {
+    const uint64_t flipped = i ^ (uint64_t{1} << (i % 64));
+    inputs.push_back(i);
+    inputs.push_back(flipped);
+    const uint64_t diff = digest_of(i).lo ^ digest_of(flipped).lo;
+    for (int bit = 0; bit < 16; ++bit) {
+      flips_per_bit[bit] += (diff >> bit) & 1;
+    }
+  }
+  std::sort(inputs.begin(), inputs.end());
+  inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
+
+  std::vector<Hash128> digests;
+  digests.reserve(inputs.size());
+  std::vector<uint64_t> buckets(kBuckets, 0);
+  for (uint64_t v : inputs) {
+    digests.push_back(digest_of(v));
+    ++buckets[digests.back().lo & (kBuckets - 1)];
+  }
+  std::sort(digests.begin(), digests.end());
+  EXPECT_EQ(std::adjacent_find(digests.begin(), digests.end()), digests.end());
+
+  // Chi-square over the low 16 bits: mean kBuckets - 1, standard deviation
+  // sqrt(2 (kBuckets - 1)) ~ 362; allow six of them either way.
+  const double expected = static_cast<double>(digests.size()) / kBuckets;
+  double chi2 = 0;
+  for (uint64_t count : buckets) {
+    const double d = static_cast<double>(count) - expected;
+    chi2 += d * d / expected;
+  }
+  EXPECT_NEAR(chi2, kBuckets - 1.0, 6 * 362.0);
+
+  for (int bit = 0; bit < 16; ++bit) {
+    const double frac = static_cast<double>(flips_per_bit[bit]) / kInputs;
+    EXPECT_NEAR(frac, 0.5, 0.01) << "lo bit " << bit;
+  }
 }
 
 TEST(Hash, Hash128Ordering) {

@@ -8,10 +8,12 @@
 // spine reuse never touches freed or stale frontier storage.
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mailboat/mail_spec.h"
 #include "src/refine/history.h"
 #include "src/refine/linearize.h"
 #include "src/tsys/transition.h"
@@ -43,7 +45,7 @@ struct RegSpec {
 
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) { return std::to_string(s.v); }
+  static void MixState(Hasher128* h, const State& s) { h->MixU64(s.v); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     return op.is_write ? "write(" + std::to_string(op.arg) + ")" : "read()";
@@ -203,6 +205,90 @@ TEST(LinearizeArena, SpineResumeMatchesFreshChecker) {
       ASSERT_EQ(reused.Check(base).has_value(), false);
     }
   }
+}
+
+// Resume under a Prepare spec: Mailboat's id pool is read from the WHOLE
+// history, so a retained spine is only valid under an equal prepared spec.
+// Variants share a prefix with the base history and end in one of several
+// tails; some keep the base's id pool (the checker must resume from the
+// shared prefix), others change it through a different returned id or an
+// extra delivery (the checker must rebuild from slot 0). Either way the
+// verdict and states_explored must equal a fresh checker's.
+TEST(LinearizeArena, PrepareSpecResumesOnlyUnderAnEqualIdPool) {
+  using mailboat::MailSpec;
+  using MailHist = History<MailSpec>;
+  auto deliver_ret = [](std::string id) {
+    MailSpec::Ret r;
+    r.id = std::move(id);
+    return r;
+  };
+  auto pickup_ret = [](std::vector<std::pair<std::string, std::string>> msgs) {
+    MailSpec::Ret r;
+    r.msgs = std::move(msgs);
+    return r;
+  };
+
+  MailSpec spec{1};
+  LinearizabilityChecker<MailSpec> reused(&spec);
+  MailHist base;
+  uint64_t d1 = base.Invoke(0, MailSpec::MakeDeliver(0, "x"));
+  uint64_t d2 = base.Invoke(1, MailSpec::MakeDeliver(0, "y"));
+  base.Return(d1, deliver_ret("m1"));
+  base.Return(d2, deliver_ret("m2"));
+  uint64_t p = base.Invoke(2, MailSpec::MakePickup(0));
+  base.Return(p, pickup_ret({{"m1", "x"}, {"m2", "y"}}));
+  uint64_t u = base.Invoke(2, MailSpec::MakeUnlock(0));
+  base.Return(u, MailSpec::Ret{});
+  ASSERT_EQ(reused.Check(base), std::nullopt);
+  MailSpec base_prepared = spec;
+  base_prepared.Prepare(base.events);
+
+  // Tails appended after the shared prefix by a fourth client.
+  enum Tail { kSameIds, kSameIdsWrongContents, kNewId, kExtraDeliver };
+  size_t resumed = 0;
+  size_t rebuilt = 0;
+  for (size_t k = 1; k <= base.events.size(); ++k) {
+    for (Tail tail : {kSameIds, kSameIdsWrongContents, kNewId, kExtraDeliver}) {
+      MailHist variant;
+      variant.events.assign(base.events.begin(), base.events.begin() + k);
+      variant.next_op_id = base.next_op_id;
+      if (tail == kExtraDeliver) {
+        uint64_t d = variant.Invoke(3, MailSpec::MakeDeliver(0, "z"));
+        variant.Return(d, deliver_ret("m2"));
+      }
+      uint64_t q = variant.Invoke(3, MailSpec::MakePickup(0));
+      switch (tail) {
+        case kSameIds:
+        case kExtraDeliver:
+          variant.Return(q, pickup_ret({{"m1", "x"}, {"m2", "y"}}));
+          break;
+        case kSameIdsWrongContents:
+          variant.Return(q, pickup_ret({{"m1", "y"}, {"m2", "x"}}));
+          break;
+        case kNewId:
+          variant.Return(q, pickup_ret({{"m1", "x"}, {"m3", "y"}}));
+          break;
+      }
+      MailSpec prepared = spec;
+      prepared.Prepare(variant.events);
+      const bool same_pool = prepared == base_prepared;
+
+      LinearizabilityChecker<MailSpec> fresh(&spec);
+      auto expect = fresh.Check(variant);
+      auto got = reused.Check(variant, /*reuse_events=*/k);
+      ASSERT_EQ(got.has_value(), expect.has_value()) << "k=" << k << " tail=" << tail;
+      ASSERT_EQ(reused.states_explored(), fresh.states_explored())
+          << "k=" << k << " tail=" << tail;
+      ASSERT_EQ(reused.resumed_events(), same_pool ? k : 0) << "k=" << k << " tail=" << tail;
+      (same_pool ? resumed : rebuilt) += 1;
+      // The next variant shares only the base prefix with THIS one.
+      ASSERT_EQ(reused.Check(base), std::nullopt);
+    }
+  }
+  // Both rules were exercised: kNewId always changes the pool, and the
+  // other tails keep it whenever the variant has two deliveries.
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(rebuilt, 0u);
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ struct RegSpec {
 
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
-  static std::string StateKey(const State& s) { return std::to_string(s.v); }
+  static void MixState(Hasher128* h, const State& s) { h->MixU64(s.v); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     return op.is_write ? "write(" + std::to_string(op.arg) + ")" : "read()";

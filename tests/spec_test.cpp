@@ -1,8 +1,14 @@
 // Direct unit tests for the specification transition systems: Step
 // semantics, undefined-behavior boundaries, crash transitions, and the
-// canonical key functions the memoizing checker depends on.
+// state-mixing and canonical key functions the memoizing checker depends on.
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/base/hash.h"
 #include "src/mailboat/mail_spec.h"
 #include "src/systems/gc/gc_spec.h"
 #include "src/systems/kvs/kv_spec.h"
@@ -36,8 +42,34 @@ TEST(PairSpecTest, CrashIsIdentity) {
   EXPECT_EQ(crashed[0], s);
 }
 
-TEST(PairSpecTest, StateKeyIsInjectiveOnComponents) {
-  EXPECT_NE(PairSpec::StateKey({12, 3}), PairSpec::StateKey({1, 23}));
+template <typename Spec>
+Hash128 StateDigest(const typename Spec::State& s) {
+  Hasher128 h;
+  Spec::MixState(&h, s);
+  return h.digest();
+}
+
+// Over every ordered pair of `states`: equal digests exactly when the
+// states compare equal. Returns the number of pairs where that fails.
+template <typename Spec>
+size_t DigestEqualityMismatches(const std::vector<typename Spec::State>& states) {
+  std::vector<Hash128> digests;
+  for (const auto& s : states) {
+    digests.push_back(StateDigest<Spec>(s));
+  }
+  size_t mismatches = 0;
+  for (size_t i = 0; i < states.size(); ++i) {
+    for (size_t j = 0; j < states.size(); ++j) {
+      mismatches += (digests[i] == digests[j]) != (states[i] == states[j]);
+    }
+  }
+  return mismatches;
+}
+
+TEST(PairSpecTest, MixStateIsInjectiveOnComponents) {
+  EXPECT_NE(StateDigest<PairSpec>({12, 3}), StateDigest<PairSpec>({1, 23}));
+  EXPECT_NE(StateDigest<PairSpec>({1, 2}), StateDigest<PairSpec>({2, 1}));
+  EXPECT_EQ(StateDigest<PairSpec>({12, 3}), StateDigest<PairSpec>({12, 3}));
 }
 
 // ---------- GcSpec ----------
@@ -80,6 +112,35 @@ TEST(GcSpecTest, CrashEnumeratesPrefixes) {
   EXPECT_EQ(crashed[0].durable, 1u);
   EXPECT_EQ(crashed[1].durable, 2u);
   EXPECT_EQ(crashed[2].durable, 3u);
+}
+
+TEST(GcSpecTest, MixStateDigestsEqualExactlyForEqualStates) {
+  // Durable value x buffers of length 0..3; 12 sits next to 1 and 2 so a
+  // digest that concatenated digits would alias [1, 2] with [12].
+  const std::vector<uint64_t> values = {0, 1, 2, 12};
+  std::vector<std::vector<uint64_t>> buffers = {{}};
+  for (size_t i = 0; i < buffers.size(); ++i) {
+    for (uint64_t v : values) {
+      if (buffers[i].size() < 3) {
+        std::vector<uint64_t> longer = buffers[i];
+        longer.push_back(v);
+        buffers.push_back(std::move(longer));
+      }
+    }
+  }
+  std::vector<GcSpec::State> states;
+  for (uint64_t durable : values) {
+    for (const auto& buffer : buffers) {
+      states.push_back(GcSpec::State{durable, buffer});
+    }
+  }
+  ASSERT_EQ(states.size(), 4u * (1 + 4 + 16 + 64));
+  // Equal states reached by different transitions hash alike too.
+  GcSpec spec;
+  GcSpec::State flushed = spec.Step(GcSpec::State{0, {1, 2}}, GcSpec::MakeFlush()).branches[0].first;
+  states.push_back(flushed);
+  states.push_back(spec.CrashSteps(GcSpec::State{0, {2}})[1]);
+  EXPECT_EQ(DigestEqualityMismatches<GcSpec>(states), 0u);
 }
 
 TEST(GcSpecTest, CrashDeduplicatesEqualPrefixStates) {
@@ -209,6 +270,45 @@ TEST(MailSpecTest, PrepareCollectsObservedAndSyntheticIds) {
   // The observed id plus one synthetic per deliver (two delivers).
   EXPECT_EQ(spec.id_pool.size(), 3u);
   EXPECT_NE(std::find(spec.id_pool.begin(), spec.id_pool.end(), "msg-123"), spec.id_pool.end());
+}
+
+TEST(MailSpecTest, MixStateDigestsEqualExactlyForEqualStates) {
+  // One or two users; per box, each of the ids "a" and "ab" is absent or
+  // holds "" or "b" (so id "a" with "b" meets id "ab" with ""); any lock set.
+  const std::vector<std::string> ids = {"a", "ab"};
+  const std::vector<std::string> contents = {"", "b"};
+  std::vector<std::map<std::string, std::string>> boxes;
+  for (int code = 0; code < 9; ++code) {
+    std::map<std::string, std::string> box;
+    for (int k = 0, c = code; k < 2; ++k, c /= 3) {
+      if (c % 3 > 0) {
+        box[ids[k]] = contents[c % 3 - 1];
+      }
+    }
+    boxes.push_back(std::move(box));
+  }
+  const std::vector<std::set<uint64_t>> lock_sets = {{}, {0}, {1}, {0, 1}};
+  std::vector<MailSpec::State> states;
+  for (const auto& locked : lock_sets) {
+    for (const auto& box0 : boxes) {
+      MailSpec::State one;
+      one.boxes[0] = box0;
+      one.locked = locked;
+      states.push_back(one);
+      for (const auto& box1 : boxes) {
+        MailSpec::State two = one;
+        two.boxes[1] = box1;
+        states.push_back(std::move(two));
+      }
+    }
+  }
+  ASSERT_EQ(states.size(), 4u * (9 + 81));
+  // Equal states reached by different transitions hash alike too.
+  MailSpec spec{2};
+  MailSpec::State picked = spec.Step(spec.Initial(), MailSpec::MakePickup(1)).branches[0].first;
+  states.push_back(picked);
+  states.push_back(spec.CrashSteps(picked)[0]);
+  EXPECT_EQ(DigestEqualityMismatches<MailSpec>(states), 0u);
 }
 
 TEST(MailSpecTest, UnknownUserIsUndefined) {
