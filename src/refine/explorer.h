@@ -608,7 +608,7 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
     return u;
   };
   Hasher128 f;
-  f.MixString("pcc-exploration-config-v3");
+  f.MixString("pcc-exploration-config-v4");
   f.MixString(options.run_id);
   f.MixU64(static_cast<uint64_t>(options.mode));
   f.MixU64(static_cast<uint64_t>(static_cast<int64_t>(options.max_crashes)));

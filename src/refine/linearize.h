@@ -49,12 +49,25 @@
 //   tsys::Outcome<State, Ret> Step(const State&, const Op&) const;
 //   std::vector<State> CrashSteps(const State&) const;
 //   static void MixState(Hasher128*, const State&); // injective encoding
-//   static std::string RetKey(const Ret&);     // canonical, injective
-//   static std::string OpName(const Op&);      // for messages
+//   static void MixRet(Hasher128*, const Ret&);     // injective, self-delimiting
+//   static std::string RetKey(const Ret&);     // for messages
+//   static std::string OpName(const Op&);      // canonical, injective
 //
-// MixState feeds a state into the config fingerprint field by field
-// (length-prefixing every variable-size part), so deduplicating a config
-// renders no string for its state.
+// MixState and MixRet feed a state / a chosen response into the config
+// fingerprint field by field (length-prefixing every variable-size part),
+// so deduplicating a config renders no string. MixRet also feeds returns
+// into history fingerprints (memo.h), whose events it must delimit.
+//
+// A Config (SpecFrontier below) is a flat value: the spec state, sorted
+// vectors for the pending and linearized ops, and two op-id sets that
+// store ids below 64 inline. Copying one allocates one buffer per
+// non-empty vector plus whatever copying the spec's State and Rets
+// allocates, which is why specs keep State flat too (MailSpec interns ids
+// and contents, mail_spec.h). A pending op is named
+// by the index of its invocation event instead of a copy of its Op: a
+// frontier after events[0..i) names only events below i, and every history
+// that reaches that frontier — through the spine or the prefix memo —
+// shares those events.
 //
 // Specs with an optional `Prepare(events)` hook (data-dependent
 // nondeterminism, e.g. Mailboat's message-id pool) read the WHOLE history
@@ -83,13 +96,11 @@
 #ifndef PERENNIAL_SRC_REFINE_LINEARIZE_H_
 #define PERENNIAL_SRC_REFINE_LINEARIZE_H_
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -102,6 +113,40 @@
 
 namespace perennial::refine {
 
+// A set of op ids. History numbers ops densely from 1, so ids below 64
+// live in one inline word and copying the set allocates nothing; larger ids
+// spill into a sorted vector. Sets only grow, so equal sets are equal
+// values.
+class OpIdSet {
+ public:
+  bool contains(uint64_t id) const {
+    return id < 64 ? ((word_ >> id) & 1) != 0
+                   : std::binary_search(spill_.begin(), spill_.end(), id);
+  }
+  void insert(uint64_t id) {
+    if (id < 64) {
+      word_ |= uint64_t{1} << id;
+      return;
+    }
+    auto it = std::lower_bound(spill_.begin(), spill_.end(), id);
+    if (it == spill_.end() || *it != id) {
+      spill_.insert(it, id);
+    }
+  }
+  void Mix(Hasher128* h) const {
+    h->MixU64(word_);
+    h->MixU64(spill_.size());
+    for (uint64_t id : spill_) {
+      h->MixU64(id);
+    }
+  }
+  friend bool operator==(const OpIdSet&, const OpIdSet&) = default;
+
+ private:
+  uint64_t word_ = 0;
+  std::vector<uint64_t> spill_;
+};
+
 // The spec-side configurations reachable after one history prefix, closed
 // under linearization moves. `undefined` is sticky: some reachable config
 // stepped into spec UB, which accepts every history with this prefix.
@@ -111,19 +156,24 @@ struct SpecFrontier {
   using Op = typename Spec::Op;
   using Ret = typename Spec::Ret;
 
+  // A flat value: the state, two sorted vectors and two op-id sets.
   struct Config {
     State state;
-    // Invoked, not yet linearized (op_id -> op).
-    std::map<uint64_t, Op> pending;
-    // Linearized with a chosen return value, awaiting the response.
-    std::map<uint64_t, Ret> linearized;
+    // Invoked, not yet linearized, sorted by op id: (op id, index of the
+    // op's kInvoke event). The Op is read from the history. A frontier
+    // after events[0..i) names only events below i, and every history that
+    // reaches it (through the spine or the prefix memo) shares those.
+    std::vector<std::pair<uint64_t, size_t>> pending;
+    // Linearized with a chosen return value, awaiting the response; sorted
+    // by op id.
+    std::vector<std::pair<uint64_t, Ret>> linearized;
     // Every op id that ever linearized. Never reset (commit records model
     // durable facts); pending is derivable from (prefix, committed), so
     // this also determines the pending set.
-    std::set<uint64_t> committed;
+    OpIdSet committed;
     // Snapshot of `committed` taken at the most recent crash event; the
     // kHelped obligation is checked against it.
-    std::set<uint64_t> committed_at_crash;
+    OpIdSet committed_at_crash;
   };
 
   bool undefined = false;
@@ -255,7 +305,7 @@ class LinearizabilityChecker {
       if (cur.configs.empty()) {
         break;  // already inexplicable; later events cannot help
       }
-      DeriveNext(cur, events[idx], &spine_[idx + 1]);
+      DeriveNext(cur, events, idx, &spine_[idx + 1]);
       spine_states_[idx + 1] = states_explored_;
       ++idx;
       if (cacheable && !cache_->Contains(fp_[idx])) {
@@ -307,9 +357,10 @@ class LinearizabilityChecker {
   // Deliberately an ACCOUNTING estimate, not RSS: capacities times element
   // sizes, so the number is a deterministic function of the exploration
   // path and a resumed run observes the same budget pressure as an
-  // uninterrupted one. Config's nested maps/sets are folded in as a flat
-  // per-config constant; the explorer polls this at execution granularity,
-  // so a per-element walk would dominate small specs.
+  // uninterrupted one. A Config's heap parts (the spec state's own
+  // buffers, the pending/linearized vectors, spilled op ids) are folded in
+  // as a flat per-config constant; the explorer polls this at execution
+  // granularity, so a per-element walk would dominate small specs.
   size_t approx_retained_bytes() const {
     size_t b = spine_.capacity() * sizeof(Frontier);
     for (const Frontier& f : spine_) {
@@ -326,7 +377,8 @@ class LinearizabilityChecker {
 
   // Byte estimate for one cached frontier — deterministic in the frontier's
   // CONTENT (config count, never vector capacity) so insert-time accounting
-  // replays identically across interrupted and uninterrupted runs.
+  // replays identically across interrupted and uninterrupted runs. Each
+  // config's heap parts count as the same flat constant as above.
   static size_t FrontierEntryBytes(const Frontier& f) {
     return sizeof(Hash128) + sizeof(FrontierPtr) + sizeof(Frontier) + 48 +
            f.configs.size() * (sizeof(Config) + 64);
@@ -346,28 +398,22 @@ class LinearizabilityChecker {
   }
 
   // 128-bit config fingerprint for frontier dedup: the state through
-  // Spec::MixState, so no string is rendered for it (RetKey still renders
-  // the chosen-but-unreturned responses).
-  // pending is omitted: it equals (ops invoked since the last crash) minus
-  // committed, both of which the fingerprint already determines. Collisions
-  // would merge two distinct configs; at 128 bits that is as improbable as
-  // the history-fingerprint collisions the dedup layer already accepts.
+  // Spec::MixState and the chosen responses through Spec::MixRet, so no
+  // string is rendered. pending is omitted: it equals (ops invoked since
+  // the last crash) minus committed, both of which the fingerprint already
+  // determines. Collisions would merge two distinct configs; at 128 bits
+  // that is as improbable as the history-fingerprint collisions the dedup
+  // layer already accepts.
   static Hash128 ConfigFp(const Config& c) {
     Hasher128 f;
     Spec::MixState(&f, c.state);
     f.MixU64(c.linearized.size());
     for (const auto& [id, ret] : c.linearized) {
       f.MixU64(id);
-      f.MixString(Spec::RetKey(ret));
+      Spec::MixRet(&f, ret);
     }
-    f.MixU64(c.committed.size());
-    for (uint64_t id : c.committed) {
-      f.MixU64(id);
-    }
-    f.MixU64(c.committed_at_crash.size());
-    for (uint64_t id : c.committed_at_crash) {
-      f.MixU64(id);
-    }
+    c.committed.Mix(&f);
+    c.committed_at_crash.Mix(&f);
     return f.digest();
   }
 
@@ -381,7 +427,7 @@ class LinearizabilityChecker {
     out->configs.push_back(std::move(init));
   }
 
-  // Consumes one event — maps each config of `in` to its successors
+  // Consumes events[idx] — maps each config of `in` to its successors
   // (possibly none: a config that cannot explain the event drops out) —
   // then closes the result under "one pending op linearizes now": any
   // pending op may take effect at any moment between its invocation and its
@@ -389,7 +435,9 @@ class LinearizabilityChecker {
   // spec's defined domain. `out` is reused storage: cleared, not freed.
   // One seen_ set spans both phases, which matches the old two-set scheme
   // exactly (the closure seeded its set with every event-phase config).
-  void DeriveNext(const Frontier& in, const typename Hist::Event& e, Frontier* out) {
+  void DeriveNext(const Frontier& in, const std::vector<typename Hist::Event>& events,
+                  size_t idx, Frontier* out) {
+    const typename Hist::Event& e = events[idx];
     out->undefined = false;
     out->configs.clear();
     seen_.clear();
@@ -402,16 +450,26 @@ class LinearizabilityChecker {
     for (const Config& c : in.configs) {
       switch (e.kind) {
         case Hist::Kind::kInvoke: {
-          Config c2 = c;
-          c2.pending.emplace(e.op_id, e.op);
+          Config c2;
+          c2.state = c.state;
+          c2.pending = WithInserted(c.pending, IdPos(c.pending, e.op_id),
+                                    std::pair<uint64_t, size_t>(e.op_id, idx));
+          c2.linearized = c.linearized;
+          c2.committed = c.committed;
+          c2.committed_at_crash = c.committed_at_crash;
           emit(std::move(c2));
           break;
         }
         case Hist::Kind::kReturn: {
-          auto it = c.linearized.find(e.op_id);
-          if (it != c.linearized.end() && it->second == e.ret) {
-            Config c2 = c;
-            c2.linearized.erase(e.op_id);
+          const size_t pos = IdPos(c.linearized, e.op_id);
+          if (pos < c.linearized.size() && c.linearized[pos].first == e.op_id &&
+              c.linearized[pos].second == e.ret) {
+            Config c2;
+            c2.state = c.state;
+            c2.pending = c.pending;
+            c2.linearized = WithErased(c.linearized, pos);
+            c2.committed = c.committed;
+            c2.committed_at_crash = c.committed_at_crash;
             emit(std::move(c2));
           }
           // Not linearized, or a mismatched chosen return: dead branch.
@@ -421,7 +479,7 @@ class LinearizabilityChecker {
           // Recovery committed this op on a crashed thread's behalf, which
           // is only sound if the op's effect was durable at the crash —
           // i.e. it linearized before the snapshot taken there.
-          if (c.committed_at_crash.count(e.op_id) > 0) {
+          if (c.committed_at_crash.contains(e.op_id)) {
             emit(Config(c));
           }
           break;
@@ -430,9 +488,9 @@ class LinearizabilityChecker {
           // The crash discards every pending op and every unreturned
           // response; the spec takes one (possibly nondeterministic) crash
           // transition; commit records survive and are snapshotted.
-          for (const State& next : spec_->CrashSteps(c.state)) {
+          for (State& next : spec_->CrashSteps(c.state)) {
             Config c2;
-            c2.state = next;
+            c2.state = std::move(next);
             c2.committed = c.committed;
             c2.committed_at_crash = c.committed;
             emit(std::move(c2));
@@ -442,26 +500,57 @@ class LinearizabilityChecker {
       }
     }
     // out->configs doubles as the BFS queue: new configs are appended and
-    // scanned in turn (indices stay valid; the vector may reallocate).
+    // scanned in turn. emit may reallocate it, so the config being scanned
+    // is re-read by index after every emit instead of being held by
+    // reference (or copied).
     for (size_t i = 0; i < out->configs.size(); ++i) {
-      // Copy: Step may append to configs, invalidating references.
-      const Config c = out->configs[i];
-      for (const auto& [id, op] : c.pending) {
-        tsys::Outcome<State, Ret> res = spec_->Step(c.state, op);
+      for (size_t j = 0; j < out->configs[i].pending.size(); ++j) {
+        const auto [id, invoke] = out->configs[i].pending[j];
+        tsys::Outcome<State, Ret> res = spec_->Step(out->configs[i].state, events[invoke].op);
         if (res.undefined) {
           out->undefined = true;
           return;
         }
-        for (const auto& [next_state, ret] : res.branches) {
-          Config c2 = c;
-          c2.state = next_state;
-          c2.pending.erase(id);
-          c2.linearized.emplace(id, ret);
+        for (auto& [next_state, ret] : res.branches) {
+          const Config& c = out->configs[i];
+          Config c2;
+          c2.state = std::move(next_state);
+          c2.pending = WithErased(c.pending, j);
+          c2.linearized = WithInserted(c.linearized, IdPos(c.linearized, id),
+                                       std::pair<uint64_t, Ret>(id, std::move(ret)));
+          c2.committed = c.committed;
           c2.committed.insert(id);
+          c2.committed_at_crash = c.committed_at_crash;
           emit(std::move(c2));
         }
       }
     }
+  }
+
+  // Where op `id` is, or would go, in a vector sorted by op id.
+  template <typename T>
+  static size_t IdPos(const std::vector<std::pair<uint64_t, T>>& v, uint64_t id) {
+    auto before = [](const std::pair<uint64_t, T>& p, uint64_t x) { return p.first < x; };
+    return std::lower_bound(v.begin(), v.end(), id, before) - v.begin();
+  }
+  // Copies of `v` with one element inserted at / erased from `pos`, built
+  // at their final size (one allocation, no shifting).
+  template <typename T>
+  static std::vector<T> WithInserted(const std::vector<T>& v, size_t pos, T x) {
+    std::vector<T> out;
+    out.reserve(v.size() + 1);
+    out.insert(out.end(), v.begin(), v.begin() + pos);
+    out.push_back(std::move(x));
+    out.insert(out.end(), v.begin() + pos, v.end());
+    return out;
+  }
+  template <typename T>
+  static std::vector<T> WithErased(const std::vector<T>& v, size_t pos) {
+    std::vector<T> out;
+    out.reserve(v.size() - 1);
+    out.insert(out.end(), v.begin(), v.begin() + pos);
+    out.insert(out.end(), v.begin() + pos + 1, v.end());
+    return out;
   }
 
   static constexpr bool kPrepares =

@@ -57,7 +57,7 @@ void MixEvent(Hasher128* f, const typename History<Spec>::Event& e) {
       f->MixString(Spec::OpName(e.op));
       break;
     case History<Spec>::Kind::kReturn:
-      f->MixString(Spec::RetKey(e.ret));
+      Spec::MixRet(f, e.ret);
       break;
     case History<Spec>::Kind::kCrash:
     case History<Spec>::Kind::kHelped:
@@ -68,8 +68,9 @@ void MixEvent(Hasher128* f, const typename History<Spec>::Event& e) {
 // 128-bit fingerprint of a history's observable events. Two histories with
 // equal fingerprints receive the same verdict from the linearizability
 // checker (the check is a pure function of the events), which is what makes
-// fingerprint pruning sound. Requires Spec::OpName and Spec::RetKey to be
-// injective renderings (true of every spec in this repo).
+// fingerprint pruning sound. Requires Spec::OpName to be an injective
+// rendering and Spec::MixRet an injective, self-delimiting encoding (true
+// of every spec in this repo).
 template <typename Spec>
 Hash128 FingerprintHistory(const History<Spec>& history) {
   Hasher128 f;

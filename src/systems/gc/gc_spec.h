@@ -78,6 +78,7 @@ struct GcSpec {
       h->MixU64(v);
     }
   }
+  static void MixRet(Hasher128* h, const Ret& r) { h->MixU64(r); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     switch (op.kind) {

@@ -42,6 +42,10 @@ struct PairSpec {
     h->MixU64(s.a);
     h->MixU64(s.b);
   }
+  static void MixRet(Hasher128* h, const Ret& r) {
+    h->MixU64(r.first);
+    h->MixU64(r.second);
+  }
   static std::string RetKey(const Ret& r) {
     return std::to_string(r.first) + "," + std::to_string(r.second);
   }

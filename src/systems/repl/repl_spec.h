@@ -51,6 +51,7 @@ struct ReplSpec {
       h->MixU64(b);
     }
   }
+  static void MixRet(Hasher128* h, const Ret& r) { h->MixU64(r); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     if (op.is_write) {

@@ -46,6 +46,7 @@ struct RegSpec {
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
   static void MixState(Hasher128* h, const State& s) { h->MixU64(s.v); }
+  static void MixRet(Hasher128* h, const Ret& r) { h->MixU64(r); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     return op.is_write ? "write(" + std::to_string(op.arg) + ")" : "read()";
@@ -205,6 +206,77 @@ TEST(LinearizeArena, SpineResumeMatchesFreshChecker) {
       ASSERT_EQ(reused.Check(base).has_value(), false);
     }
   }
+}
+
+// The prefix memo shared across checkers: a frontier cached while checking
+// history A is consumed by a different checker checking history B, which
+// shares A's first k events and then diverges. Pending ops in that frontier
+// name their invocations by event index, which is sound because every such
+// index is below k. The verdict must equal an uncached checker's, and the
+// cache must actually have been hit (cache-resumed work is not re-counted,
+// so a hit shows as fewer states explored).
+TEST(LinearizeArena, SharedPrefixMemoFrontiersResolvePendingOpsInTheConsumingHistory) {
+  RegSpec spec;
+  LinearizabilityChecker<RegSpec>::FrontierCache cache;
+  LinearizabilityChecker<RegSpec> producer(&spec);
+  producer.set_frontier_cache(&cache);
+
+  // A: two overlapping writes, still pending after the first three events.
+  // A is gone before any consumer runs, so a frontier that pointed into A's
+  // storage instead of naming events by index would read freed memory
+  // (which the ASan lane reports).
+  std::vector<Hist::Event> a_events;
+  uint64_t w1 = 0;
+  uint64_t w2 = 0;
+  uint64_t r = 0;
+  {
+    Hist a;
+    w1 = a.Invoke(0, Write(3));
+    w2 = a.Invoke(1, Write(7));
+    r = a.Invoke(2, Read());
+    a.Return(w1, 0);
+    a.Return(w2, 0);
+    a.Return(r, 7);
+    ASSERT_EQ(producer.Check(a), std::nullopt);
+    a_events = a.events;
+  }
+
+  size_t hits = 0;
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (size_t k = 1; k <= 3; ++k) {
+    for (uint64_t seen : {uint64_t{0}, uint64_t{3}, uint64_t{7}, uint64_t{99}}) {
+      // B: A's first k events, then the writes return in the other order,
+      // a crash, and a read of `seen`. B's events from k on differ from A's.
+      Hist b;
+      b.events.assign(a_events.begin(), a_events.begin() + k);
+      b.next_op_id = r + 1;
+      if (k == 3) {
+        b.Return(r, seen == 99 ? 0 : seen);
+      }
+      b.Return(w2, 0);
+      if (k >= 2) {
+        b.Return(w1, 0);
+      }
+      b.Crash();
+      uint64_t rb = b.Invoke(3, Read());
+      b.Return(rb, seen);
+
+      LinearizabilityChecker<RegSpec> uncached(&spec);
+      LinearizabilityChecker<RegSpec> consumer(&spec);
+      consumer.set_frontier_cache(&cache);
+      auto expect = uncached.Check(b);
+      auto got = consumer.Check(b);
+      ASSERT_EQ(got.has_value(), expect.has_value()) << "k=" << k << " seen=" << seen;
+      ASSERT_LE(consumer.states_explored(), uncached.states_explored())
+          << "k=" << k << " seen=" << seen;
+      hits += consumer.states_explored() < uncached.states_explored();
+      (expect.has_value() ? rejected : accepted) += 1;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // Resume under a Prepare spec: Mailboat's id pool is read from the WHOLE

@@ -45,6 +45,7 @@ struct RegSpec {
   std::vector<State> CrashSteps(const State& s) const { return {s}; }
 
   static void MixState(Hasher128* h, const State& s) { h->MixU64(s.v); }
+  static void MixRet(Hasher128* h, const Ret& r) { h->MixU64(r); }
   static std::string RetKey(const Ret& r) { return std::to_string(r); }
   static std::string OpName(const Op& op) {
     return op.is_write ? "write(" + std::to_string(op.arg) + ")" : "read()";

@@ -1,15 +1,19 @@
 // Direct unit tests for the specification transition systems: Step
 // semantics, undefined-behavior boundaries, crash transitions, and the
 // state-mixing and canonical key functions the memoizing checker depends on.
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/hash.h"
 #include "src/mailboat/mail_spec.h"
+#include "src/refine/memo.h"
 #include "src/systems/gc/gc_spec.h"
 #include "src/systems/kvs/kv_spec.h"
 #include "src/systems/pair_spec.h"
@@ -199,22 +203,123 @@ TEST(TxnSpecTest, OutOfRangeRecordIsUndefined) {
 
 // ---------- MailSpec ----------
 
+// The map-based Mailboat spec the interned MailSpec::State replaced, kept
+// as the reference its Step is checked against.
+struct RefMail {
+  std::map<uint64_t, std::map<std::string, std::string>> boxes;
+  std::set<uint64_t> locked;
+  friend bool operator==(const RefMail&, const RefMail&) = default;
+};
+
+RefMail ToRef(const MailSpec& spec, const MailSpec::State& s) {
+  RefMail r;
+  for (uint64_t u = 0; u < spec.num_users; ++u) {
+    r.boxes[u];
+    if ((s.locked >> u) & 1) {
+      r.locked.insert(u);
+    }
+  }
+  for (const MailSpec::Msg& m : s.msgs) {
+    r.boxes[m.user][spec.id_pool[m.id]] =
+        (m.contents & MailSpec::kLoose) != 0
+            ? s.loose_contents[m.contents & ~MailSpec::kLoose]
+            : spec.contents_pool[m.contents];
+  }
+  return r;
+}
+
+tsys::Outcome<RefMail, MailSpec::Ret> RefStep(const MailSpec& spec, const RefMail& s,
+                                              const MailSpec::Op& op) {
+  using Out = tsys::Outcome<RefMail, MailSpec::Ret>;
+  if (op.user >= spec.num_users) {
+    return Out::Undef();
+  }
+  switch (op.kind) {
+    case MailSpec::Kind::kPickup: {
+      if (s.locked.count(op.user) > 0) {
+        return Out::None();
+      }
+      RefMail next = s;
+      next.locked.insert(op.user);
+      MailSpec::Ret ret;
+      for (const auto& [id, contents] : s.boxes.at(op.user)) {
+        ret.msgs.emplace_back(id, contents);
+      }
+      return Out::One(std::move(next), std::move(ret));
+    }
+    case MailSpec::Kind::kDeliver: {
+      Out out;
+      for (const std::string& id : spec.id_pool) {
+        if (s.boxes.at(op.user).count(id) == 0) {
+          RefMail next = s;
+          next.boxes[op.user][id] = op.arg;
+          MailSpec::Ret ret;
+          ret.id = id;
+          out.branches.emplace_back(std::move(next), std::move(ret));
+        }
+      }
+      return out;
+    }
+    case MailSpec::Kind::kDelete: {
+      if (s.locked.count(op.user) == 0 || s.boxes.at(op.user).count(op.arg) == 0) {
+        return Out::Undef();
+      }
+      RefMail next = s;
+      next.boxes[op.user].erase(op.arg);
+      return Out::One(std::move(next), MailSpec::Ret{});
+    }
+    case MailSpec::Kind::kUnlock: {
+      if (s.locked.count(op.user) == 0) {
+        return Out::Undef();
+      }
+      RefMail next = s;
+      next.locked.erase(op.user);
+      return Out::One(std::move(next), MailSpec::Ret{});
+    }
+  }
+  return Out::None();
+}
+
+// A state with mail[i] = (user, id, contents) delivered through Step, so
+// the test never spells out pool indices.
+MailSpec::State WithMail(const MailSpec& spec,
+                         const std::vector<std::tuple<uint64_t, std::string, std::string>>& mail) {
+  MailSpec::State s = spec.Initial();
+  for (const auto& [user, id, contents] : mail) {
+    auto out = spec.Step(s, MailSpec::MakeDeliver(user, contents));
+    bool found = false;
+    for (auto& [next, ret] : out.branches) {
+      if (ret.id == id) {
+        s = std::move(next);
+        found = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(found) << "id " << id << " is not a free pool id for user " << user;
+  }
+  return s;
+}
+
+MailSpec::State Locked(MailSpec::State s, uint64_t user) {
+  s.locked |= uint64_t{1} << user;
+  return s;
+}
+
 TEST(MailSpecTest, PickupTakesTheLockAndListsMail) {
   MailSpec spec{1};
-  MailSpec::State s = spec.Initial();
-  s.boxes[0]["m1"] = "hello";
+  spec.id_pool = {"m1"};
+  spec.contents_pool = {"hello"};
+  MailSpec::State s = WithMail(spec, {{0, "m1", "hello"}});
   auto out = spec.Step(s, MailSpec::MakePickup(0));
   ASSERT_EQ(out.branches.size(), 1u);
   EXPECT_EQ(out.branches[0].second.msgs.size(), 1u);
   EXPECT_EQ(out.branches[0].second.msgs[0].second, "hello");
-  EXPECT_TRUE(out.branches[0].first.locked.count(0) > 0);
+  EXPECT_EQ(out.branches[0].first.locked, 1u);
 }
 
 TEST(MailSpecTest, PickupBlocksWhileLocked) {
   MailSpec spec{1};
-  MailSpec::State s = spec.Initial();
-  s.locked.insert(0);
-  auto out = spec.Step(s, MailSpec::MakePickup(0));
+  auto out = spec.Step(Locked(spec.Initial(), 0), MailSpec::MakePickup(0));
   EXPECT_FALSE(out.undefined);
   EXPECT_TRUE(out.branches.empty());  // blocked, not undefined
 }
@@ -222,8 +327,8 @@ TEST(MailSpecTest, PickupBlocksWhileLocked) {
 TEST(MailSpecTest, DeliverBranchesOverTheIdPool) {
   MailSpec spec{1};
   spec.id_pool = {"a", "b", "c"};
-  MailSpec::State s = spec.Initial();
-  s.boxes[0]["b"] = "taken";
+  spec.contents_pool = {"taken", "x"};
+  MailSpec::State s = WithMail(spec, {{0, "b", "taken"}});
   auto out = spec.Step(s, MailSpec::MakeDeliver(0, "x"));
   ASSERT_EQ(out.branches.size(), 2u);  // "b" is occupied
   EXPECT_EQ(out.branches[0].second.id, "a");
@@ -232,14 +337,41 @@ TEST(MailSpecTest, DeliverBranchesOverTheIdPool) {
 
 TEST(MailSpecTest, DeleteRequiresLockAndListedId) {
   MailSpec spec{1};
-  MailSpec::State s = spec.Initial();
-  s.boxes[0]["m"] = "x";
+  spec.id_pool = {"m", "zz"};
+  spec.contents_pool = {"x"};
+  MailSpec::State s = WithMail(spec, {{0, "m", "x"}});
   EXPECT_TRUE(spec.Step(s, MailSpec::MakeDelete(0, "m")).undefined);  // no lock
-  s.locked.insert(0);
+  s = Locked(s, 0);
   EXPECT_TRUE(spec.Step(s, MailSpec::MakeDelete(0, "zz")).undefined);  // unlisted id
   auto ok = spec.Step(s, MailSpec::MakeDelete(0, "m"));
   ASSERT_EQ(ok.branches.size(), 1u);
-  EXPECT_TRUE(ok.branches[0].first.boxes.at(0).empty());
+  EXPECT_EQ(ok.branches[0].first, Locked(spec.Initial(), 0));
+}
+
+TEST(MailSpecTest, DeleteOfAnIdOutsideThePoolIsUndefined) {
+  MailSpec spec{1};
+  spec.id_pool = {"m"};
+  spec.contents_pool = {"x"};
+  MailSpec::State s = Locked(WithMail(spec, {{0, "m", "x"}}), 0);
+  EXPECT_TRUE(spec.Step(s, MailSpec::MakeDelete(0, "never-prepared")).undefined);
+}
+
+TEST(MailSpecTest, DeliverOfUnpreparedContentsIsListedAndDeletable) {
+  MailSpec spec{1};
+  spec.id_pool = {"m1", "m2"};
+  spec.contents_pool = {"pooled"};
+  MailSpec::State s = WithMail(spec, {{0, "m2", "pooled"}, {0, "m1", "loose"}});
+  EXPECT_EQ(s.loose_contents, std::vector<std::string>{"loose"});
+  auto picked = spec.Step(s, MailSpec::MakePickup(0));
+  ASSERT_EQ(picked.branches.size(), 1u);
+  const std::vector<std::pair<std::string, std::string>> listed = {{"m1", "loose"},
+                                                                    {"m2", "pooled"}};
+  EXPECT_EQ(picked.branches[0].second.msgs, listed);
+  // Deleting the last message that holds loose contents forgets them, so
+  // the state equals one that never saw them.
+  auto deleted = spec.Step(picked.branches[0].first, MailSpec::MakeDelete(0, "m1"));
+  ASSERT_EQ(deleted.branches.size(), 1u);
+  EXPECT_EQ(deleted.branches[0].first, Locked(WithMail(spec, {{0, "m2", "pooled"}}), 0));
 }
 
 TEST(MailSpecTest, UnlockWithoutLockIsUndefined) {
@@ -249,13 +381,67 @@ TEST(MailSpecTest, UnlockWithoutLockIsUndefined) {
 
 TEST(MailSpecTest, CrashReleasesLocksKeepsMail) {
   MailSpec spec{1};
-  MailSpec::State s = spec.Initial();
-  s.boxes[0]["m"] = "x";
-  s.locked.insert(0);
+  spec.id_pool = {"m"};
+  spec.contents_pool = {"x"};
+  MailSpec::State s = Locked(WithMail(spec, {{0, "m", "x"}}), 0);
   auto crashed = spec.CrashSteps(s);
   ASSERT_EQ(crashed.size(), 1u);
-  EXPECT_TRUE(crashed[0].locked.empty());
-  EXPECT_EQ(crashed[0].boxes.at(0).at("m"), "x");
+  EXPECT_EQ(crashed[0].locked, 0u);
+  EXPECT_EQ(ToRef(spec, crashed[0]).boxes.at(0).at("m"), "x");
+}
+
+// Every state reachable from Initial within the op budget, under every op
+// (pooled and unprepared contents, listed and unknown ids, an out-of-range
+// user): the interned Step and the map-based reference return the same
+// outcomes.
+TEST(MailSpecTest, StepMatchesTheMapBasedReference) {
+  MailSpec spec{2};
+  spec.id_pool = {"a", "ab", "b"};
+  spec.contents_pool = {"", "x"};
+  std::vector<MailSpec::Op> ops;
+  for (uint64_t u = 0; u < 3; ++u) {
+    ops.push_back(MailSpec::MakePickup(u));
+    ops.push_back(MailSpec::MakeUnlock(u));
+    for (const char* c : {"", "x", "loose", "loose2"}) {
+      ops.push_back(MailSpec::MakeDeliver(u, c));
+    }
+    for (const char* id : {"a", "ab", "b", "zz"}) {
+      ops.push_back(MailSpec::MakeDelete(u, id));
+    }
+  }
+  std::vector<MailSpec::State> states = {spec.Initial()};
+  size_t checked = 0;
+  for (size_t i = 0; i < states.size() && states.size() < 3000; ++i) {
+    const RefMail ref = ToRef(spec, states[i]);
+    for (const MailSpec::Op& op : ops) {
+      auto got = spec.Step(states[i], op);
+      auto want = RefStep(spec, ref, op);
+      ASSERT_EQ(got.undefined, want.undefined) << MailSpec::OpName(op);
+      ASSERT_EQ(got.branches.size(), want.branches.size()) << MailSpec::OpName(op);
+      for (size_t k = 0; k < got.branches.size(); ++k) {
+        EXPECT_EQ(ToRef(spec, got.branches[k].first), want.branches[k].first);
+        EXPECT_EQ(got.branches[k].second, want.branches[k].second);
+        if (std::find(states.begin(), states.end(), got.branches[k].first) == states.end()) {
+          states.push_back(got.branches[k].first);
+        }
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(states.size(), 1000u);
+  EXPECT_GT(checked, 10000u);
+}
+
+// Equal mailboxes are equal States (so configs deduplicate exactly), also
+// when they hold loose contents reached in different orders.
+TEST(MailSpecTest, StateIsCanonical) {
+  MailSpec spec{2};
+  spec.id_pool = {"a", "b"};
+  MailSpec::State one = WithMail(spec, {{0, "a", "p"}, {1, "b", "q"}, {1, "a", "p"}});
+  MailSpec::State two = WithMail(spec, {{1, "a", "p"}, {0, "a", "p"}, {1, "b", "q"}});
+  EXPECT_EQ(one, two);
+  EXPECT_EQ(one.loose_contents, (std::vector<std::string>{"p", "q"}));
+  EXPECT_EQ(ToRef(spec, one), ToRef(spec, two));
 }
 
 TEST(MailSpecTest, PrepareCollectsObservedAndSyntheticIds) {
@@ -270,45 +456,96 @@ TEST(MailSpecTest, PrepareCollectsObservedAndSyntheticIds) {
   // The observed id plus one synthetic per deliver (two delivers).
   EXPECT_EQ(spec.id_pool.size(), 3u);
   EXPECT_NE(std::find(spec.id_pool.begin(), spec.id_pool.end(), "msg-123"), spec.id_pool.end());
+  EXPECT_EQ(spec.contents_pool, (std::vector<std::string>{"a", "b"}));
+}
+
+// The spine-resume rule (linearize.h) reads a State's indices against the
+// spec it was built with, so specs with different contents pools differ.
+TEST(MailSpecTest, EqualityCoversBothPools) {
+  MailSpec a{1};
+  a.id_pool = {"m"};
+  a.contents_pool = {"x"};
+  MailSpec b = a;
+  EXPECT_EQ(a, b);
+  b.contents_pool = {"y"};
+  EXPECT_NE(a, b);
+  b = a;
+  b.id_pool = {"n"};
+  EXPECT_NE(a, b);
 }
 
 TEST(MailSpecTest, MixStateDigestsEqualExactlyForEqualStates) {
   // One or two users; per box, each of the ids "a" and "ab" is absent or
-  // holds "" or "b" (so id "a" with "b" meets id "ab" with ""); any lock set.
-  const std::vector<std::string> ids = {"a", "ab"};
-  const std::vector<std::string> contents = {"", "b"};
-  std::vector<std::map<std::string, std::string>> boxes;
+  // holds "" or "b"; any lock set.
+  MailSpec spec{2};
+  spec.id_pool = {"a", "ab"};
+  spec.contents_pool = {"", "b"};
+  std::vector<std::vector<std::pair<std::string, std::string>>> boxes;
   for (int code = 0; code < 9; ++code) {
-    std::map<std::string, std::string> box;
+    std::vector<std::pair<std::string, std::string>> box;
     for (int k = 0, c = code; k < 2; ++k, c /= 3) {
       if (c % 3 > 0) {
-        box[ids[k]] = contents[c % 3 - 1];
+        box.emplace_back(spec.id_pool[k], spec.contents_pool[c % 3 - 1]);
       }
     }
     boxes.push_back(std::move(box));
   }
-  const std::vector<std::set<uint64_t>> lock_sets = {{}, {0}, {1}, {0, 1}};
+  auto fill = [&](MailSpec::State s, uint64_t user, const auto& box) {
+    std::vector<std::tuple<uint64_t, std::string, std::string>> mail;
+    for (const auto& [id, contents] : box) {
+      mail.emplace_back(user, id, contents);
+    }
+    MailSpec::State filled = WithMail(spec, mail);
+    for (const MailSpec::Msg& m : filled.msgs) {
+      s.msgs.push_back(m);
+    }
+    return s;
+  };
   std::vector<MailSpec::State> states;
-  for (const auto& locked : lock_sets) {
+  for (uint64_t locked = 0; locked < 4; ++locked) {
     for (const auto& box0 : boxes) {
-      MailSpec::State one;
-      one.boxes[0] = box0;
+      MailSpec::State one = fill(MailSpec::State{}, 0, box0);
       one.locked = locked;
       states.push_back(one);
       for (const auto& box1 : boxes) {
-        MailSpec::State two = one;
-        two.boxes[1] = box1;
-        states.push_back(std::move(two));
+        states.push_back(fill(one, 1, box1));
       }
     }
   }
   ASSERT_EQ(states.size(), 4u * (9 + 81));
   // Equal states reached by different transitions hash alike too.
-  MailSpec spec{2};
   MailSpec::State picked = spec.Step(spec.Initial(), MailSpec::MakePickup(1)).branches[0].first;
   states.push_back(picked);
   states.push_back(spec.CrashSteps(picked)[0]);
   EXPECT_EQ(DigestEqualityMismatches<MailSpec>(states), 0u);
+}
+
+// Ids and contents may hold the characters a naive rendering would use as
+// separators: these two pickups differ, and so must their renderings and
+// the fingerprints of histories that return them.
+TEST(MailSpecTest, ReturnRenderingAndFingerprintAreInjective) {
+  MailSpec::Ret one;
+  one.msgs = {{"m1", "x;m2=y"}};
+  MailSpec::Ret two;
+  two.msgs = {{"m1", "x"}, {"m2", "y"}};
+  ASSERT_NE(one, two);
+  EXPECT_NE(MailSpec::RetKey(one), MailSpec::RetKey(two));
+  auto history = [](const MailSpec::Ret& r) {
+    refine::History<MailSpec> h;
+    h.Return(h.Invoke(0, MailSpec::MakePickup(0)), r);
+    return h;
+  };
+  EXPECT_NE(refine::FingerprintHistory(history(one)), refine::FingerprintHistory(history(two)));
+  EXPECT_EQ(refine::FingerprintHistory(history(one)), refine::FingerprintHistory(history(one)));
+}
+
+// Users are the bits of a 64-bit lock mask; a larger spec is rejected
+// instead of shifting past the mask.
+TEST(MailSpecTest, MoreThan64UsersIsRejected) {
+  MailSpec spec{MailSpec::kMaxUsers + 1};
+  EXPECT_DEATH(spec.Initial(), "at most 64 users");
+  EXPECT_DEATH(spec.Step(MailSpec::State{}, MailSpec::MakePickup(MailSpec::kMaxUsers)),
+               "at most 64 users");
 }
 
 TEST(MailSpecTest, UnknownUserIsUndefined) {
