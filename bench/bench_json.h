@@ -38,6 +38,9 @@ struct PorJsonRow {
   double cpu_us_per_request = 0;
   uint64_t utime_us = 0;  // process user CPU over the measured window
   uint64_t stime_us = 0;  // process system CPU over the measured window
+  // Executions stopped at their last crash by the post-crash continuation
+  // cache (Report::crash_pruned).
+  uint64_t crash_pruned = 0;
 };
 
 // Process user+system CPU so far, in microseconds. Benches diff two
@@ -120,13 +123,14 @@ inline std::string RenderPorRow(const PorJsonRow& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"system\": \"%s\", \"por\": %s, \"executions\": %llu, "
-                "\"deduped\": %llu, \"pruned\": %llu, \"histories\": %llu, "
-                "\"violations\": %llu, \"ms\": %.1f, \"peak_rss\": %llu, "
-                "\"outcome\": \"%s\"}",
+                "\"deduped\": %llu, \"pruned\": %llu, \"crash_pruned\": %llu, "
+                "\"histories\": %llu, \"violations\": %llu, \"ms\": %.1f, "
+                "\"peak_rss\": %llu, \"outcome\": \"%s\"}",
                 r.system.c_str(), r.por ? "true" : "false",
                 static_cast<unsigned long long>(r.executions),
                 static_cast<unsigned long long>(r.deduped),
                 static_cast<unsigned long long>(r.pruned),
+                static_cast<unsigned long long>(r.crash_pruned),
                 static_cast<unsigned long long>(r.histories),
                 static_cast<unsigned long long>(r.violations), r.ms,
                 static_cast<unsigned long long>(r.peak_rss), r.outcome.c_str());

@@ -375,6 +375,7 @@ std::vector<perennial::benchjson::PorJsonRow> RunPorJsonSweep(const char* filter
       rows.push_back({w.slug, por, report.executions, report.histories_deduped,
                       report.por_pruned, report.histories_checked,
                       static_cast<uint64_t>(report.violations.size()), ms});
+      rows.back().crash_pruned = report.crash_pruned;
     }
   }
   return rows;

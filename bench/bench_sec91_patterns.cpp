@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
                              static_cast<uint64_t>(r->report.violations.size()), r->ms,
                              perennial::benchjson::PeakRssBytes(),
                              refine::OutcomeName(r->report.outcome)});
+        json_rows.back().crash_pruned = r->report.crash_pruned;
       }
       por.AddRow({sys.name, WithCommas(off.report.executions),
                   WithCommas(on.report.executions),

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/hash.h"
+
 namespace perennial {
 
 // SplitMix64: used to expand a single seed into stream state.
@@ -44,6 +46,13 @@ class Rng {
 
   // Forks an independent stream (for per-thread generators).
   Rng Fork();
+
+  // Mixes the generator's position into a fingerprint.
+  void MixState(Hasher128* h) const {
+    for (uint64_t word : s_) {
+      h->MixU64(word);
+    }
+  }
 
  private:
   uint64_t s_[4];

@@ -98,6 +98,18 @@ class BoundedLeaseRegistry : public goose::CrashAware {
 
   // All bounded leases are volatile capabilities.
   void OnCrash() override { held_.clear(); }
+  // Empty after a crash; the serial counter is a name, not state.
+  void MixSurvivingState(Hasher128* h) const override {
+    std::scoped_lock host_lock(mu_);
+    h->MixU64(held_.size());
+    for (const auto& [resource, holding] : held_) {
+      h->MixString(resource);
+      h->MixU64(holding.bound.size());
+      for (const std::string& name : holding.bound) {
+        h->MixString(name);
+      }
+    }
+  }
 
  private:
   struct Holding {

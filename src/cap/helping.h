@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 
+#include "src/base/hash.h"
 #include "src/base/panic.h"
 #include "src/proc/footprint.h"
 
@@ -73,6 +74,18 @@ class HelpRegistry {
   }
 
   bool Has(const std::string& key) const { return tokens_.count(key) > 0; }
+
+  // The registry is durable and not CrashAware: harnesses whose systems
+  // own one mix it into their post-crash fingerprint (refine::Instance::
+  // mix_surviving_state).
+  void MixState(Hasher128* h) const {
+    h->MixU64(tokens_.size());
+    for (const auto& [key, op] : tokens_) {
+      h->MixString(key);
+      h->MixU64(static_cast<uint64_t>(static_cast<int64_t>(op.j)));
+      h->MixU64(op.op_id);
+    }
+  }
   size_t size() const { return tokens_.size(); }
   void Clear() { tokens_.clear(); }
 

@@ -85,6 +85,13 @@ class LeaseRegistry : public goose::CrashAware {
 
   // Crash: every lease is invalidated (leases live in volatile memory).
   void OnCrash() override { issued_.clear(); }
+  // Empty after a crash; the serial counter is a name, not state.
+  void MixSurvivingState(Hasher128* h) const override {
+    h->MixU64(issued_.size());
+    for (const auto& [resource, serial] : issued_) {
+      h->MixString(resource);
+    }
+  }
 
  private:
   uint64_t KeyRes(const std::string& resource) const {

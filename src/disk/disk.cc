@@ -23,6 +23,15 @@ Disk::Disk(goose::World* world, uint64_t num_blocks, Block initial)
   world->Register(this);
 }
 
+void Disk::MixSurvivingState(Hasher128* h) const {
+  h->MixU64(failed_ ? 1 : 0);
+  h->MixU64(blocks_.size());
+  for (const Block& b : blocks_) {
+    h->MixU64(b.size());
+    h->MixBytes(b.data(), b.size());
+  }
+}
+
 proc::Task<Result<Block>> Disk::Read(uint64_t a) {
   co_await proc::Yield();
   proc::RecordAccess(MetaRes(), /*write=*/false);  // consults failed_

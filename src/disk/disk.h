@@ -59,6 +59,7 @@ class Disk : public BlockDev, public goose::CrashAware {
 
   // Durability: contents survive a crash; a failed disk stays failed.
   void OnCrash() override {}
+  void MixSurvivingState(Hasher128* h) const override;
 
   // Harness-only accessors.
   const Block& PeekBlock(uint64_t a) const override;

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/hash.h"
+
 namespace perennial::fault {
 
 enum class FaultKind {
@@ -112,6 +114,16 @@ class FaultSchedule {
     return injected_[static_cast<size_t>(kind)];
   }
   uint64_t total_injected() const;
+  // Armed faults survive crashes, so a harness that owns a schedule mixes
+  // them into its post-crash fingerprint. The injected counters are
+  // introspection only and are left out.
+  void MixState(Hasher128* h) const {
+    h->MixU64(armed_.size());
+    for (const ArmedFault& f : armed_) {
+      h->MixU64(static_cast<uint64_t>(f.kind));
+      h->MixU64(static_cast<uint64_t>(static_cast<int64_t>(f.target)));
+    }
+  }
 
  private:
   struct ArmedFault {

@@ -325,6 +325,8 @@ class Heap : public CrashAware {
 
   // Crash: all memory contents are lost (§6.2 crash model).
   void OnCrash() override { cells_.clear(); }
+  // Nothing survives: every cell is gone and cell ids restart.
+  void MixSurvivingState(Hasher128*) const override {}
 
  private:
   struct CellBase {

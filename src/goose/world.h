@@ -10,12 +10,20 @@
 // heap), and runs crash hooks on durable components (the file system drops
 // open fds but keeps data; disks keep blocks). Thread death is the
 // scheduler's job and is coordinated by the crash explorer in src/refine.
+//
+// MixSurvivingState() fingerprints what a crash leaves behind. The crash
+// explorer takes it right after Crash() to recognize a post-crash
+// continuation it has already run (DESIGN.md §9, "Post-crash continuation
+// cache"), so every component must mix everything its OnCrash keeps that
+// recovery, the observers or a crash invariant can read.
 #ifndef PERENNIAL_SRC_GOOSE_WORLD_H_
 #define PERENNIAL_SRC_GOOSE_WORLD_H_
 
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#include "src/base/hash.h"
 
 namespace perennial::goose {
 
@@ -26,6 +34,12 @@ class CrashAware {
  public:
   virtual ~CrashAware() = default;
   virtual void OnCrash() = 0;
+  // Mixes the state that survives OnCrash into `h`; called only right after
+  // a crash. Counters that merely name objects (inode numbers, fd numbers,
+  // lease serials, heap cell ids) are left out: the modeled programs only
+  // compare them for equality, so a continuation behaves the same under any
+  // renaming of them.
+  virtual void MixSurvivingState(Hasher128* h) const = 0;
 };
 
 class World {
@@ -50,6 +64,17 @@ class World {
   }
 
   uint64_t crash_count() const { return generation_; }
+
+  // Folds every registered component's surviving state, in registration
+  // order (factories are deterministic, so the order is the same on every
+  // replay).
+  void MixSurvivingState(Hasher128* h) const {
+    h->MixU64(generation_);
+    h->MixU64(components_.size());
+    for (const CrashAware* c : components_) {
+      c->MixSurvivingState(h);
+    }
+  }
 
   // Allocates a world-unique id for DPOR access footprints (footprint.h).
   // Deterministic: factories construct primitives in a fixed order, so the

@@ -303,21 +303,30 @@ std::optional<Bytes> GooseFs::PeekDurableFile(const std::string& dir,
   return full;
 }
 
-std::string GooseFs::DurableFingerprint() const {
-  std::string out;
+void GooseFs::MixSurvivingState(Hasher128* h) const {
+  std::vector<uint64_t> walk_order;  // inode numbers in first-reached order
+  h->MixU64(dirs_.size());
   for (const auto& [dir, entries] : dirs_) {
-    out += dir;
-    out += '{';
+    h->MixString(dir);
+    h->MixU64(entries.size());
     for (const auto& [name, ino] : entries) {
-      out += name;
-      out += '=';
-      const Bytes& data = inodes_.at(ino).data;
-      out.append(data.begin(), data.end());
-      out += ';';
+      h->MixString(name);
+      auto seen = std::find(walk_order.begin(), walk_order.end(), ino);
+      h->MixU64(static_cast<uint64_t>(seen - walk_order.begin()));
+      if (seen != walk_order.end()) {
+        continue;  // a hard link to an inode already mixed
+      }
+      walk_order.push_back(ino);
+      const Inode& inode = inodes_.at(ino);
+      h->MixU64(inode.synced_len);
+      h->MixU64(inode.data.size());
+      h->MixBytes(inode.data.data(), inode.data.size());
     }
-    out += '}';
   }
-  return out;
+  // Open-but-unlinked inodes are reclaimed by OnCrash, so after a crash
+  // every inode is reached by the walk; count them anyway so a caller that
+  // mixes outside that window still tells such states apart.
+  h->MixU64(inodes_.size());
 }
 
 GooseFs::FdState& GooseFs::ResolveFd(Fd fd, const char* op) {

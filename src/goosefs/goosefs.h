@@ -68,6 +68,11 @@ class GooseFs : public Filesys, public goose::CrashAware {
 
   // Crash model: fds lost, data durable, orphaned inodes reclaimed.
   void OnCrash() override;
+  // The directory trees and the contents they name. Inodes are numbered in
+  // walk order (first name reached), so two states that differ only in
+  // inode numbers mix equal while hard links stay visible; the inode and fd
+  // counters are left out (world.h).
+  void MixSurvivingState(Hasher128* h) const override;
 
   // --- Harness-only observation (for invariants and tests) ---
 
@@ -79,9 +84,6 @@ class GooseFs : public Filesys, public goose::CrashAware {
   std::optional<Bytes> PeekDurableFile(const std::string& dir, const std::string& name) const;
   size_t OpenFdCountForTesting() const { return fds_.size(); }
   size_t InodeCountForTesting() const { return inodes_.size(); }
-  // A canonical string of the durable state: directory trees + contents.
-  // Used by explorers to deduplicate states.
-  std::string DurableFingerprint() const;
 
  private:
   enum class Mode { kRead, kAppend };

@@ -129,6 +129,11 @@ inline refine::Instance<MailSpec> MakeMailInstance(const MailHarnessOptions& opt
   inst.recover = [mail](refine::History<MailSpec>*) -> proc::Task<void> {
     co_await mail->Recover();
   };
+  goose::World* world = &bundle->world;
+  inst.mix_surviving_state = [world, mail](Hasher128* h) {
+    world->MixSurvivingState(h);
+    mail->MixSurvivingState(h);
+  };
   for (const std::vector<MailAction>& script : options.client_scripts) {
     inst.client_programs.push_back([script](refine::OpRunner<MailSpec>* runner) {
       return detail::RunScript(script, runner);

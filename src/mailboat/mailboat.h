@@ -112,6 +112,15 @@ class Mailboat : public MailApi {
 
   uint64_t num_users() const override { return options_.num_users; }
 
+  // Host-level state that survives a modeled crash, for the checker's
+  // post-crash fingerprint: the id generator (World::Crash does not reset
+  // it). The per-user locks and pickup leases are rebuilt by Recover's
+  // first step, before anything can read them.
+  void MixSurvivingState(Hasher128* h) {
+    std::scoped_lock lock(rng_mu_);
+    rng_.MixState(h);
+  }
+
  private:
   static std::string UserDir(uint64_t user) { return "user" + std::to_string(user); }
   // Hot paths use the pre-built name (a Deliver used to assemble

@@ -81,6 +81,7 @@ void PutReport(std::string* out, const Report& r) {
   PutU64(out, r.histories_checked);
   PutU64(out, r.histories_deduped);
   PutU64(out, r.por_pruned);
+  PutU64(out, r.crash_pruned);
   PutU64(out, r.spec_states_explored);
   PutU8(out, r.truncated ? 1 : 0);
   PutU32(out, static_cast<uint32_t>(r.outcome));
@@ -243,6 +244,7 @@ Report GetReport(Cursor* c) {
   r.histories_checked = c->GetU64();
   r.histories_deduped = c->GetU64();
   r.por_pruned = c->GetU64();
+  r.crash_pruned = c->GetU64();
   r.spec_states_explored = c->GetU64();
   r.truncated = c->GetU8() != 0;
   uint32_t outcome = c->GetU32();

@@ -45,7 +45,8 @@ namespace perennial::refine {
 // v2: Violations carry their recorded decision schedule (the replayable
 // witness minimize.h shrinks), and PCT/swarm runs reuse CheckpointSubtree
 // with prefix = {batch, lo, hi} and next_path = {next_run}.
-inline constexpr uint32_t kCheckpointVersion = 2;
+// v3: Reports carry crash_pruned.
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 // One work-item subtree's durable state. The engines use this struct
 // directly as their in-memory work list, so checkpointing is a snapshot of

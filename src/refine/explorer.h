@@ -66,6 +66,16 @@
 //   * progress_callback — periodic cumulative counts for long runs and
 //     benches, observed after each execution completes (so dedup counts
 //     are post-dedup).
+//
+// Post-crash continuation cache: once an execution has injected its last
+// allowed crash and no env event remains, the rest of it is a function of
+// the history and of what survived the crash. Harnesses that fingerprint
+// the surviving state (Instance::mix_surviving_state) let the engine run
+// each such continuation once: a later execution reaching the same key
+// stops at the crash and is credited the cached continuation's steps and
+// spec states, so every Report count stays what the full run would give.
+// Only forced (single-alternative) continuations that added no violation
+// are cached. Soundness argument and exclusions: DESIGN.md §9.
 #ifndef PERENNIAL_SRC_REFINE_EXPLORER_H_
 #define PERENNIAL_SRC_REFINE_EXPLORER_H_
 
@@ -125,7 +135,7 @@ class OpRunner {
 
   proc::Task<typename Spec::Ret> Run(typename Spec::Op op) {
     uint64_t id = history_->Invoke(client_, op);
-    typename Spec::Ret ret = co_await inst_->run_op(client_, id, op);
+    typename Spec::Ret ret = co_await inst_->run_op(client_, id, std::move(op));
     history_->Return(id, ret);
     co_return ret;
   }
@@ -165,6 +175,14 @@ struct Instance {
   // a crash happened); they pin down the surviving durable state.
   std::vector<Op> observer_ops;
   std::vector<EnvEvent> env_events;
+  // Optional: mixes everything that survives World::Crash() into a
+  // fingerprint: the world's components (World::MixSurvivingState) plus
+  // host-level state no component owns (an id generator, armed faults, a
+  // durable helping registry). With it set, each forced post-crash
+  // continuation runs once per (history, surviving state) and later
+  // executions reaching the same key stop at the crash (DESIGN.md §9).
+  // Null: every continuation runs in full.
+  std::function<void(Hasher128*)> mix_surviving_state;
 };
 
 // Cumulative counts handed to ExplorerOptions::progress_callback. All
@@ -177,6 +195,7 @@ struct ExplorerProgress {
   uint64_t histories_checked = 0;
   uint64_t histories_deduped = 0;
   uint64_t por_pruned = 0;
+  uint64_t crash_pruned = 0;
 };
 
 struct ExplorerOptions {
@@ -591,6 +610,58 @@ class ScheduleReplayDriver : public Driver {
   std::vector<ScheduleDecision> consumed_;
 };
 
+// What a forced post-crash continuation added to its execution, keyed by
+// the (history, surviving state, budgets) fingerprint taken right after the
+// crash. A fixed-size, direct-mapped table: a colliding insert replaces the
+// older entry, which only turns a later hit into a miss. One per engine,
+// never shared, so it needs no locks; the slots are allocated at the first
+// insert, so engines that never prune (probes, random mode) pay nothing.
+class ContinuationCache {
+ public:
+  static constexpr size_t kSlots = 1024;
+
+  struct Entry {
+    uint32_t steps = 0;        // decisions after the crash (>= 1: recovery runs)
+    uint32_t spec_states = 0;  // spec states the history's check added
+  };
+
+  bool Lookup(const Hash128& key, Entry* out) const {
+    if (slots_ == nullptr) {
+      return false;
+    }
+    const Slot& slot = slots_[key.lo & (kSlots - 1)];
+    if (slot.entry.steps == 0 || !(slot.key == key)) {
+      return false;
+    }
+    *out = slot.entry;
+    return true;
+  }
+
+  // Counts too large for an entry are not cached (a miss is always sound).
+  void Insert(const Hash128& key, uint64_t steps, uint64_t spec_states) {
+    if (steps == 0 || steps > UINT32_MAX || spec_states > UINT32_MAX) {
+      return;
+    }
+    if (slots_ == nullptr) {
+      slots_ = std::make_unique<Slot[]>(kSlots);
+    }
+    slots_[key.lo & (kSlots - 1)] =
+        Slot{key, Entry{static_cast<uint32_t>(steps), static_cast<uint32_t>(spec_states)}};
+  }
+
+  // The table's size once allocated; it never grows.
+  static constexpr size_t kBytes = kSlots * (sizeof(Hash128) + sizeof(Entry));
+
+ private:
+  struct Slot {
+    Hash128 key;
+    Entry entry;  // entry.steps == 0 marks an empty slot
+  };
+  static_assert(sizeof(Slot) == sizeof(Hash128) + sizeof(Entry));
+
+  std::unique_ptr<Slot[]> slots_;
+};
+
 }  // namespace detail
 
 // Fingerprint of every option that shapes the decision tree a run
@@ -608,7 +679,7 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
     return u;
   };
   Hasher128 f;
-  f.MixString("pcc-exploration-config-v4");
+  f.MixString("pcc-exploration-config-v5");
   f.MixString(options.run_id);
   f.MixU64(static_cast<uint64_t>(options.mode));
   f.MixU64(static_cast<uint64_t>(static_cast<int64_t>(options.max_crashes)));
@@ -646,6 +717,12 @@ class Explorer {
   void set_verdict_cache(VerdictCache* cache) { verdict_cache_ = cache; }
   void set_frontier_cache(FrontierCache* cache) { frontier_cache_ = cache; }
 
+  // Negative control for the continuation-cache soundness suite: also
+  // cache continuations that added a violation. Unsound on purpose — a
+  // later hit then drops the violation the skipped continuation reports —
+  // so the suite can show that it notices.
+  void AdmitViolatingContinuationsForTesting() { admit_violating_continuations_ = true; }
+
   Report Run() {
     EnsureDurabilityInit();
     Report report;
@@ -676,7 +753,7 @@ class Explorer {
     EnsureDurabilityInit();
     Report report;
     detail::ScheduleReplayDriver driver(schedule);
-    RunOnce(driver, &report, nullptr, /*common_decisions=*/0);
+    RunOnce(driver, &report, nullptr, /*common_decisions=*/0, /*may_prune_crash=*/false);
     if (consumed != nullptr) {
       *consumed = driver.consumed();
     }
@@ -731,7 +808,7 @@ class Explorer {
       detail::PctDriver driver(detail::PctRunSeed(options_.seed, batch, r), depth,
                                options_.pct_change_budget, options_.crash_probability,
                                options_.env_probability);
-      if (!RunOnce(driver, report, nullptr, /*common_decisions=*/0)) {
+      if (!RunOnce(driver, report, nullptr, /*common_decisions=*/0, /*may_prune_crash=*/true)) {
         report->truncated = true;
         if (next_run != nullptr) {
           *next_run = r;
@@ -824,7 +901,7 @@ class Explorer {
         return;
       }
       detail::DfsDriver driver(&path);
-      if (!RunOnce(driver, report, por_ptr, common_decisions)) {
+      if (!RunOnce(driver, report, por_ptr, common_decisions, /*may_prune_crash=*/true)) {
         // Durability stop mid-execution: RunOnce rolled its counters back,
         // and `path` still holds the aborted execution's decisions (the
         // prefix it replayed plus what it chose before the stop) — replay
@@ -920,7 +997,10 @@ class Explorer {
       // Probe runs never claim a shared prefix: structure discovery only.
       // A durability stop during enumeration abandons it; the caller
       // checks stop_cause() and falls back to a single whole-tree item.
-      if (StopAtBoundary() || !RunOnce(driver, &scratch, por_ptr, /*common_decisions=*/0)) {
+      // They never stop at a crash either: a stopped probe would end its
+      // decision path early and shorten the prefix it reports.
+      if (StopAtBoundary() ||
+          !RunOnce(driver, &scratch, por_ptr, /*common_decisions=*/0, /*may_prune_crash=*/false)) {
         break;
       }
       const std::vector<size_t>& counts = driver.counts();
@@ -989,6 +1069,37 @@ class Explorer {
   bool PorActive() const {
     return options_.use_por && options_.mode == ExplorerOptions::Mode::kExhaustive &&
            options_.max_preemptions < 0;
+  }
+
+  // Whether executions may stop at their last crash on a continuation-
+  // cache hit (DESIGN.md §9). Plain random mode draws every run from one
+  // RNG stream, so skipped draws would shift every later run. Prefix
+  // memoization makes a history's spec-state count depend on the cache, so
+  // a cached count would not match a re-run. Under a memory budget the
+  // verdict cache may evict the history a hit would have deduplicated
+  // against. The other modes and knobs give per-execution drivers and
+  // history-determined counts.
+  bool CrashPruneActive() const {
+    return options_.mode != ExplorerOptions::Mode::kRandom && !options_.memoize_spec_prefixes &&
+           !(options_.dedup_histories && options_.max_memory_bytes > 0);
+  }
+
+  // Renders a decision sequence as the human-readable trace of a
+  // Violation: "t<tid>", "CRASH", "observe", or the env event's name.
+  static std::string RenderTrace(const std::vector<ScheduleDecision>& schedule,
+                                 const std::vector<EnvEvent>& env_events) {
+    if (schedule.empty()) {
+      return "(empty)";
+    }
+    std::string trace;
+    for (const ScheduleDecision& d : schedule) {
+      if (!trace.empty()) {
+        trace += ' ';
+      }
+      trace += d.kind == detail::AltKind::kEnv ? env_events[d.env].name
+                                               : ScheduleDecisionLabel(d);
+    }
+    return trace;
   }
 
   // ---- Durable-run machinery ----
@@ -1075,7 +1186,8 @@ class Explorer {
     detail::RandomDriver driver(options_.seed, options_.crash_probability,
                                 options_.env_probability);
     for (uint64_t i = 0; i < options_.random_runs; ++i) {
-      if (StopAtBoundary() || !RunOnce(driver, &report, nullptr, /*common_decisions=*/0)) {
+      if (StopAtBoundary() ||
+          !RunOnce(driver, &report, nullptr, /*common_decisions=*/0, /*may_prune_crash=*/false)) {
         // Random runs are not resumable (the RNG stream has no durable
         // cursor); a durability stop just ends the sampling early with the
         // outcome tagged.
@@ -1294,7 +1406,8 @@ class Explorer {
         report.executions % options_.progress_interval == 0) {
       options_.progress_callback(ExplorerProgress{
           report.executions, report.total_steps, static_cast<uint64_t>(report.violations.size()),
-          report.histories_checked, report.histories_deduped, report.por_pruned});
+          report.histories_checked, report.histories_deduped, report.por_pruned,
+          report.crash_pruned});
     }
   }
   proc::Task<void> ClientThread(int client, const std::vector<Op>* ops, Instance<Spec>* inst,
@@ -1366,7 +1479,9 @@ class Explorer {
   // caller's guarantee that this run's first decisions replay the previous
   // run's — the basis for resuming the linearizability search mid-history
   // (frontier-spine reuse) and for skipping footprint re-collection on
-  // pure-replay steps.
+  // pure-replay steps. `may_prune_crash` lets the execution stop at its
+  // last crash on a continuation-cache hit (CrashPruneActive() must hold
+  // too).
   //
   // Returns false when a durability stop (cancel/deadline/oom) abandoned
   // the execution mid-run. Every Report counter it had touched is rolled
@@ -1374,7 +1489,7 @@ class Explorer {
   // from one that never started — the caller re-runs the same decision
   // path on resume and deterministic replay reproduces it exactly.
   bool RunOnce(detail::Driver& driver, Report* report, detail::PorContext* por,
-               size_t common_decisions) {
+               size_t common_decisions, bool may_prune_crash) {
     const uint64_t entry_executions = report->executions;
     const uint64_t entry_crashes = report->crashes_injected;
     const uint64_t entry_env = report->env_events_fired;
@@ -1428,29 +1543,35 @@ class Explorer {
     uint64_t steps = 0;
     size_t decision_level = 0;
     std::vector<detail::SleepEntry> sleep;
-    std::string trace;
     schedule_log_.clear();
+    bool violated = false;
     auto add_violation = [&](std::string kind, std::string detail_msg) {
+      violated = true;
       if (report->violations.size() < static_cast<size_t>(options_.max_violations)) {
-        Violation v{std::move(kind), std::move(detail_msg), trace.empty() ? "(empty)" : trace};
-        v.schedule = schedule_log_;
-        report->violations.push_back(std::move(v));
+        report->violations.push_back(Violation{std::move(kind), std::move(detail_msg),
+                                               RenderTrace(schedule_log_, inst.env_events),
+                                               schedule_log_});
       }
     };
 
+    // Continuation cache (DESIGN.md §9): set when this execution's last
+    // crash made the rest of it a candidate, and cleared as soon as a
+    // decision after the crash offers more than one alternative.
+    std::optional<Hash128> continuation_key;
+    uint64_t steps_at_crash = 0;
+
     // Presents `alts` (already sleep-filtered by the caller) to the driver,
     // executes nothing itself: returns the chosen index after recording the
-    // trace label and step count. The history-event watermark per decision
+    // decision and step count. The history-event watermark per decision
     // feeds the next run's frontier-spine reuse.
     auto choose = [&](const std::vector<detail::Alt>& alts) -> size_t {
       prev_events_at_decision_.push_back(history.events.size());
       ++decisions_total_;
       size_t pick = driver.Choose(alts);
       PCC_ENSURE(pick < alts.size(), "driver picked an invalid alternative");
-      if (!trace.empty()) {
-        trace += ' ';
+      if (alts.size() != 1) {
+        continuation_key.reset();  // not forced: another path may differ
       }
-      trace += alts[pick].label;
       schedule_log_.push_back(ScheduleDecision{alts[pick].kind, alts[pick].thread,
                                                static_cast<uint32_t>(alts[pick].env)});
       ++steps;
@@ -1501,6 +1622,57 @@ class Explorer {
         por->levels.emplace_back();
       }
     };
+    const bool prune_crash = may_prune_crash && CrashPruneActive() &&
+                             inst.mix_surviving_state != nullptr && inst.recover != nullptr;
+    // Injects a machine crash and starts recovery. Returns true when the
+    // execution can stop here instead: this was its last possible crash or
+    // env event, and a forced continuation from the same key already ran
+    // without a violation, so its steps, history check and spec states are
+    // credited to this execution exactly as re-running it would add them.
+    auto inject_crash = [&]() -> bool {
+      ++crashes_used;
+      ++report->crashes_injected;
+      history.Crash();
+      sched.KillAllThreads();
+      inst.world->Crash();
+      if (prune_crash && crashes_used == options_.max_crashes &&
+          std::all_of(env_budget.begin(), env_budget.end(), [](int b) { return b == 0; })) {
+        Hasher128 h;
+        for (const auto& e : history.events) {
+          MixEvent<Spec>(&h, e);
+        }
+        h.MixU64(history.events.size());
+        h.MixU64(static_cast<uint64_t>(options_.max_crashes - crashes_used));
+        h.MixU64(env_budget.size());  // every budget is zero here
+        // Bounded preemptions decide which threads a post-crash decision
+        // offers, so the budget left is part of what the continuation does.
+        h.MixU64(options_.max_preemptions < 0 ? ~0ull
+                                              : static_cast<uint64_t>(preemptions_used));
+        inst.mix_surviving_state(&h);
+        const Hash128 key = h.digest();
+        detail::ContinuationCache::Entry hit;
+        // The step bound depends on the prefix: a continuation that fit
+        // after one prefix may not fit after a longer one.
+        if (continuation_cache_.Lookup(key, &hit) &&
+            steps + hit.steps < options_.max_steps_per_run) {
+          ++report->crash_pruned;
+          report->total_steps += steps + hit.steps;
+          ++report->histories_checked;
+          if (options_.dedup_histories) {
+            // The full history is the one the cached run checked, so the
+            // verdict cache already holds it: a re-run would dedup.
+            ++report->histories_deduped;
+          } else {
+            report->spec_states_explored += hit.spec_states;
+          }
+          return true;
+        }
+        continuation_key = key;
+        steps_at_crash = steps;
+      }
+      sched.Spawn(RecoveryThread(&inst, &history), "recovery");
+      return false;
+    };
 
     while (true) {
       // Durability poll, once per decision point (amortized clock/memory
@@ -1539,26 +1711,24 @@ class Explorer {
         }
         if (crash_possible || env_possible) {
           std::vector<detail::Alt> alts;
-          alts.push_back(detail::Alt{detail::AltKind::kProceed, -1, 0, "observe"});
+          alts.push_back(detail::Alt{detail::AltKind::kProceed, -1, 0});
           if (crash_possible) {
-            alts.push_back(detail::Alt{detail::AltKind::kCrash, -1, 0, "CRASH"});
+            alts.push_back(detail::Alt{detail::AltKind::kCrash, -1, 0});
           }
           for (size_t i = 0; i < inst.env_events.size(); ++i) {
             if (env_budget[i] > 0) {
-              alts.push_back(detail::Alt{detail::AltKind::kEnv, -1, i, inst.env_events[i].name});
+              alts.push_back(detail::Alt{detail::AltKind::kEnv, -1, i});
             }
           }
           ensure_level();
           size_t pick = choose(alts);
           const detail::Alt& alt = alts[pick];
           if (alt.kind == detail::AltKind::kCrash) {
-            ++crashes_used;
-            ++report->crashes_injected;
-            history.Crash();
-            sched.KillAllThreads();
-            inst.world->Crash();
-            sched.Spawn(RecoveryThread(&inst, &history), "recovery");
+            const bool pruned = inject_crash();
             after_step(alts, pick, proc::Footprint{});
+            if (pruned) {
+              return true;
+            }
             continue;
           }
           if (alt.kind == detail::AltKind::kEnv) {
@@ -1615,10 +1785,10 @@ class Explorer {
             continue;  // its subtree here commutes with an explored one
           }
         }
-        alts.push_back(detail::Alt{detail::AltKind::kThread, tid, 0, "t" + std::to_string(tid)});
+        alts.push_back(detail::Alt{detail::AltKind::kThread, tid, 0});
       }
       if (!observers_started && inst.recover != nullptr && crashes_used < options_.max_crashes) {
-        alts.push_back(detail::Alt{detail::AltKind::kCrash, -1, 0, "CRASH"});
+        alts.push_back(detail::Alt{detail::AltKind::kCrash, -1, 0});
       }
       // Environment events (disk failures, ...) can strike at any time —
       // including while the observers probe the final state, which is how
@@ -1626,7 +1796,7 @@ class Explorer {
       // value") becomes observable.
       for (size_t i = 0; i < inst.env_events.size(); ++i) {
         if (env_budget[i] > 0) {
-          alts.push_back(detail::Alt{detail::AltKind::kEnv, -1, i, inst.env_events[i].name});
+          alts.push_back(detail::Alt{detail::AltKind::kEnv, -1, i});
         }
       }
       if (alts.empty()) {
@@ -1662,14 +1832,12 @@ class Explorer {
           break;
         }
         case detail::AltKind::kCrash: {
-          ++crashes_used;
-          ++report->crashes_injected;
-          history.Crash();
-          sched.KillAllThreads();
-          inst.world->Crash();
-          sched.Spawn(RecoveryThread(&inst, &history), "recovery");
+          const bool pruned = inject_crash();
           last_thread = proc::Scheduler::kInvalidTid;  // no thread survived
           after_step(alts, pick, proc::Footprint{});
+          if (pruned) {
+            return true;
+          }
           break;
         }
         case detail::AltKind::kEnv: {
@@ -1699,32 +1867,34 @@ class Explorer {
       spine_valid_events_ = static_cast<size_t>(-1);
       return why;
     };
+    std::optional<std::string> why;
+    uint64_t spec_states = 0;
     if (options_.dedup_histories) {
       // Fingerprint pruning: identical histories get identical verdicts, so
       // replay the cached verdict instead of re-running the search. Only
       // the spec check is skipped — the execution itself (crash invariants,
       // UB, deadlock, step bound) already ran in full above.
       Hash128 fp = FingerprintHistory(history);
-      std::optional<std::string> cached;
-      if (verdict_cache_->Lookup(fp, &cached)) {
+      if (verdict_cache_->Lookup(fp, &why)) {
         ++report->histories_deduped;
-        if (cached.has_value()) {
-          add_violation("non-linearizable", *cached);
-        }
-        return true;
+      } else {
+        why = check_history();
+        verdict_cache_->Insert(fp, why, VerdictEntryBytes(why));
+        spec_states = checker_.states_explored();
       }
-      std::optional<std::string> why = check_history();
-      verdict_cache_->Insert(fp, why, VerdictEntryBytes(why));
-      if (why.has_value()) {
-        add_violation("non-linearizable", *why);
-      }
-      report->spec_states_explored += checker_.states_explored();
-      return true;
+    } else {
+      why = check_history();
+      spec_states = checker_.states_explored();
     }
-    if (auto why = check_history()) {
+    if (why.has_value()) {
       add_violation("non-linearizable", *why);
     }
-    report->spec_states_explored += checker_.states_explored();
+    report->spec_states_explored += spec_states;
+    // Only a forced continuation that added no violation is cached, so a
+    // bug is always re-found in full, with its own trace.
+    if (continuation_key.has_value() && (!violated || admit_violating_continuations_)) {
+      continuation_cache_.Insert(*continuation_key, steps - steps_at_crash, spec_states);
+    }
     return true;
   }
 
@@ -1743,6 +1913,9 @@ class Explorer {
   // Every decision of the execution currently inside RunOnce, in order —
   // copied into each Violation as its machine-replayable witness.
   std::vector<ScheduleDecision> schedule_log_;
+  // Forced post-crash continuations already run by this engine.
+  detail::ContinuationCache continuation_cache_;
+  bool admit_violating_continuations_ = false;  // negative-control seam only
   // Private default caches; ParallelExplorer injects shared ones.
   VerdictCache own_verdicts_;
   FrontierCache own_frontiers_;

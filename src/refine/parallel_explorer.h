@@ -216,6 +216,7 @@ class ParallelExplorer {
     std::atomic<uint64_t> global_checked{0};
     std::atomic<uint64_t> global_deduped{0};
     std::atomic<uint64_t> global_pruned{0};
+    std::atomic<uint64_t> global_crash_pruned{0};
     std::atomic<bool> budget_exhausted{false};
     std::mutex progress_mu;
     // Guards every CheckpointSubtree field in `items`: workers commit an
@@ -265,6 +266,7 @@ class ParallelExplorer {
         uint64_t seen_checked = local.histories_checked;
         uint64_t seen_deduped = local.histories_deduped;
         uint64_t seen_pruned = local.por_pruned;
+        uint64_t seen_crash_pruned = local.crash_pruned;
         auto keep_going = [&](const Report& r) {
           heartbeats[w].fetch_add(1, std::memory_order_relaxed);
           uint64_t executions = global_executions.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -279,6 +281,9 @@ class ParallelExplorer {
           seen_deduped = r.histories_deduped;
           global_pruned.fetch_add(r.por_pruned - seen_pruned, std::memory_order_relaxed);
           seen_pruned = r.por_pruned;
+          global_crash_pruned.fetch_add(r.crash_pruned - seen_crash_pruned,
+                                        std::memory_order_relaxed);
+          seen_crash_pruned = r.crash_pruned;
           if (options_.progress_callback != nullptr && options_.progress_interval > 0 &&
               executions % options_.progress_interval == 0) {
             std::scoped_lock lock(progress_mu);
@@ -287,7 +292,8 @@ class ParallelExplorer {
                                  global_violations.load(std::memory_order_relaxed),
                                  global_checked.load(std::memory_order_relaxed),
                                  global_deduped.load(std::memory_order_relaxed),
-                                 global_pruned.load(std::memory_order_relaxed)});
+                                 global_pruned.load(std::memory_order_relaxed),
+                                 global_crash_pruned.load(std::memory_order_relaxed)});
           }
           // Coarse durable-run detection at execution granularity (the
           // worker engine catches the same conditions mid-execution): the
@@ -475,6 +481,7 @@ class ParallelExplorer {
     std::atomic<uint64_t> global_checked{0};
     std::atomic<uint64_t> global_deduped{0};
     std::atomic<uint64_t> global_pruned{0};
+    std::atomic<uint64_t> global_crash_pruned{0};
     std::mutex progress_mu;
     std::mutex state_mu;  // guards every CheckpointSubtree field in `items`
     std::vector<std::atomic<uint64_t>> heartbeats(workers);
@@ -519,6 +526,7 @@ class ParallelExplorer {
         uint64_t seen_checked = local.histories_checked;
         uint64_t seen_deduped = local.histories_deduped;
         uint64_t seen_pruned = local.por_pruned;
+        uint64_t seen_crash_pruned = local.crash_pruned;
         auto keep_going = [&](const Report& r) {
           heartbeats[w].fetch_add(1, std::memory_order_relaxed);
           uint64_t executions = global_executions.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -533,6 +541,9 @@ class ParallelExplorer {
           seen_deduped = r.histories_deduped;
           global_pruned.fetch_add(r.por_pruned - seen_pruned, std::memory_order_relaxed);
           seen_pruned = r.por_pruned;
+          global_crash_pruned.fetch_add(r.crash_pruned - seen_crash_pruned,
+                                        std::memory_order_relaxed);
+          seen_crash_pruned = r.crash_pruned;
           if (options_.progress_callback != nullptr && options_.progress_interval > 0 &&
               executions % options_.progress_interval == 0) {
             std::scoped_lock lock(progress_mu);
@@ -541,7 +552,8 @@ class ParallelExplorer {
                                  global_violations.load(std::memory_order_relaxed),
                                  global_checked.load(std::memory_order_relaxed),
                                  global_deduped.load(std::memory_order_relaxed),
-                                 global_pruned.load(std::memory_order_relaxed)});
+                                 global_pruned.load(std::memory_order_relaxed),
+                                 global_crash_pruned.load(std::memory_order_relaxed)});
           }
           if (options_.cancel_token != nullptr && options_.cancel_token->canceled()) {
             RequestStop(RunOutcome::kCanceled);

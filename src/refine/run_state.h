@@ -115,6 +115,14 @@ struct Report {
   // Executions abandoned by sleep-set POR as commutation-equivalent to an
   // already-explored schedule (counted in executions, no history emitted).
   uint64_t por_pruned = 0;
+  // Executions stopped right after their last crash because the forced
+  // continuation from there had already run from the same history and
+  // surviving state (explorer.h, DESIGN.md §9). They stay counted in
+  // executions, and their steps, history and spec states are credited from
+  // the cached continuation. Like histories_deduped, this counter is exempt
+  // from bit-identity: which execution pays for a continuation depends on
+  // how the run is split across workers and resume legs.
+  uint64_t crash_pruned = 0;
   uint64_t spec_states_explored = 0;
   bool truncated = false;  // DFS did not finish (max_executions or a stop)
   // Why the run returned. Anything but kComplete means a durable-run stop:
@@ -134,6 +142,7 @@ struct Report {
                       " histories=" + std::to_string(histories_checked) +
                       " deduped=" + std::to_string(histories_deduped) +
                       " por_pruned=" + std::to_string(por_pruned) +
+                      " crash_pruned=" + std::to_string(crash_pruned) +
                       " spec_states=" + std::to_string(spec_states_explored) +
                       (truncated ? " (TRUNCATED)" : "") +
                       (outcome != RunOutcome::kComplete
@@ -158,6 +167,7 @@ inline void MergeReport(Report* aggregate, const Report& r) {
   aggregate->histories_checked += r.histories_checked;
   aggregate->histories_deduped += r.histories_deduped;
   aggregate->por_pruned += r.por_pruned;
+  aggregate->crash_pruned += r.crash_pruned;
   aggregate->spec_states_explored += r.spec_states_explored;
   aggregate->truncated = aggregate->truncated || r.truncated;
   aggregate->resumed = aggregate->resumed || r.resumed;
@@ -177,7 +187,6 @@ struct Alt {
   AltKind kind;
   int thread = -1;  // kThread
   size_t env = 0;   // kEnv
-  std::string label;
 };
 
 // One alternative already explored at a DFS decision level: its identity

@@ -46,6 +46,9 @@ inline refine::Instance<ReplSpec> MakeFtlInstance(const FtlHarnessOptions& optio
   inst.recover = [ftl](refine::History<ReplSpec>*) -> proc::Task<void> {
     co_await ftl->Recover();
   };
+  // The mapping and counters are volatile host state that Recover rebuilds
+  // at its first step, so the world's components are all that survives.
+  inst.mix_surviving_state = [world = inst.world](Hasher128* h) { world->MixSurvivingState(h); };
   if (options.observe_all) {
     for (uint64_t a = 0; a < options.num_lbas; ++a) {
       inst.observer_ops.push_back(ReplSpec::MakeRead(a));

@@ -54,6 +54,14 @@ class GroupCommit : public goose::CrashAware {
 
   // Crash model: the buffered transactions are lost.
   void OnCrash() override { buffer_.clear(); }
+  // The buffer is empty after a crash; the disk and the lease registry
+  // register with the world themselves.
+  void MixSurvivingState(Hasher128* h) const override {
+    h->MixU64(buffer_.size());
+    for (uint64_t v : buffer_) {
+      h->MixU64(v);
+    }
+  }
 
   // Harness accessors.
   uint64_t PeekDurable() const;

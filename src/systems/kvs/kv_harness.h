@@ -48,6 +48,10 @@ inline refine::Instance<KvSpec> MakeKvInstance(const KvHarnessOptions& options) 
   inst.recover = [kv](refine::History<KvSpec>* history) -> proc::Task<void> {
     co_await kv->Recover([history](uint64_t op_id) { history->Helped(op_id); });
   };
+  inst.mix_surviving_state = [world = inst.world, kv](Hasher128* h) {
+    world->MixSurvivingState(h);
+    kv->MixSurvivingState(h);
+  };
   if (options.observe_all) {
     for (uint64_t k = 0; k < options.num_keys; ++k) {
       inst.observer_ops.push_back(KvSpec::MakeGet(k));

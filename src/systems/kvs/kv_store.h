@@ -62,6 +62,9 @@ class DurableKv {
   proc::Task<void> Recover(std::function<void(uint64_t)> helped);
 
   const cap::CrashInvariants& crash_invariants() const { return invariants_; }
+  // Durable state the world does not fingerprint: the helping registry
+  // survives crashes without being CrashAware.
+  void MixSurvivingState(Hasher128* h) const { help_.MixState(h); }
 
   // Harness: durable value of `key`.
   uint64_t PeekValue(uint64_t key) const;

@@ -47,6 +47,7 @@ inline refine::Instance<PairSpec> MakeShadowInstance(const ShadowHarnessOptions&
   inst.recover = [sys](refine::History<PairSpec>*) -> proc::Task<void> {
     co_await sys->Recover();
   };
+  inst.mix_surviving_state = [world = inst.world](Hasher128* h) { world->MixSurvivingState(h); };
   for (int repeat = 0; repeat < options.observe_repeats; ++repeat) {
     inst.observer_ops.push_back(PairSpec::MakeRead());
   }
@@ -82,6 +83,10 @@ inline refine::Instance<PairSpec> MakeWalInstance(const WalHarnessOptions& optio
   };
   inst.recover = [sys](refine::History<PairSpec>* history) -> proc::Task<void> {
     co_await sys->Recover([history](uint64_t op_id) { history->Helped(op_id); });
+  };
+  inst.mix_surviving_state = [world = inst.world, sys](Hasher128* h) {
+    world->MixSurvivingState(h);
+    sys->MixSurvivingState(h);
   };
   inst.observer_ops = options.observer_ops;
   return inst;
@@ -122,6 +127,7 @@ inline refine::Instance<GcSpec> MakeGcInstance(const GcHarnessOptions& options) 
     co_return 0;
   };
   inst.recover = [sys](refine::History<GcSpec>*) -> proc::Task<void> { co_await sys->Recover(); };
+  inst.mix_surviving_state = [world = inst.world](Hasher128* h) { world->MixSurvivingState(h); };
   inst.observer_ops = options.observer_ops;
   return inst;
 }

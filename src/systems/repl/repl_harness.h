@@ -66,6 +66,14 @@ inline refine::Instance<ReplSpec> MakeReplInstance(const ReplHarnessOptions& opt
   inst.recover = [rd](refine::History<ReplSpec>* history) -> proc::Task<void> {
     co_await rd->Recover([history](uint64_t op_id) { history->Helped(op_id); });
   };
+  fault::FaultSchedule* faults = bundle->faults.get();
+  inst.mix_surviving_state = [world = inst.world, rd, faults](Hasher128* h) {
+    world->MixSurvivingState(h);
+    rd->MixSurvivingState(h);
+    if (faults != nullptr) {
+      faults->MixState(h);  // armed faults outlive the crash
+    }
+  };
   if (options.observe_all) {
     for (int repeat = 0; repeat < options.observe_repeats; ++repeat) {
       for (uint64_t a = 0; a < options.num_blocks; ++a) {

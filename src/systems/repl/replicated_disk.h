@@ -82,6 +82,9 @@ class ReplicatedDisk {
 
   // The crash invariant (§5.1): registered once, checked by the explorer.
   const cap::CrashInvariants& crash_invariants() const { return invariants_; }
+  // Durable state the world does not fingerprint: the helping registry
+  // survives crashes without being CrashAware.
+  void MixSurvivingState(Hasher128* h) const { help_.MixState(h); }
 
   // Harness: logical durable value at `a` (disk 1 unless failed).
   uint64_t PeekLogical(uint64_t a) const;

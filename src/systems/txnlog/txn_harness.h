@@ -65,6 +65,14 @@ inline refine::Instance<TxnSpec> MakeTxnInstance(const TxnHarnessOptions& option
   inst.recover = [log](refine::History<TxnSpec>* history) -> proc::Task<void> {
     co_await log->Recover([history](uint64_t op_id) { history->Helped(op_id); });
   };
+  fault::FaultSchedule* faults = bundle->faults.get();
+  inst.mix_surviving_state = [world = inst.world, log, faults](Hasher128* h) {
+    world->MixSurvivingState(h);
+    log->MixSurvivingState(h);
+    if (faults != nullptr) {
+      faults->MixState(h);  // armed faults outlive the crash
+    }
+  };
   if (options.observe_all) {
     for (uint64_t a = 0; a < options.num_addrs; ++a) {
       inst.observer_ops.push_back(TxnSpec::MakeRead(a));

@@ -100,6 +100,9 @@ class TxnLog {
   proc::Task<void> Recover(std::function<void(uint64_t)> helped);
 
   const cap::CrashInvariants& crash_invariants() const { return invariants_; }
+  // Durable state the world does not fingerprint: the helping registry
+  // survives crashes without being CrashAware.
+  void MixSurvivingState(Hasher128* h) const { help_.MixState(h); }
 
   // Harness: committed value as recoverable from disk (log + data region).
   uint64_t PeekCommitted(uint64_t addr) const;

@@ -50,6 +50,9 @@ class WalPair {
   proc::Task<void> Recover(std::function<void(uint64_t)> helped);
 
   const cap::CrashInvariants& crash_invariants() const { return invariants_; }
+  // Durable state the world does not fingerprint: the helping registry
+  // survives crashes without being CrashAware.
+  void MixSurvivingState(Hasher128* h) const { help_.MixState(h); }
 
   std::pair<uint64_t, uint64_t> PeekData() const;
 

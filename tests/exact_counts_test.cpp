@@ -4,7 +4,10 @@
 // or a spec that claims to preserve behaviour must reproduce these numbers
 // exactly. The constants were captured from the checker as it stood before
 // the flat linearizer configurations and the interned MailSpec state; a
-// representation change that alters them changed what is explored.
+// representation change that alters them changed what is explored. They
+// also hold with the post-crash continuation cache on (the harnesses set
+// Instance::mix_surviving_state): a cache hit credits exactly what the
+// skipped continuation would have added.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -56,6 +59,17 @@ TEST(ExactCounts, MailboatDfs) {
   EXPECT_EQ(r.executions, 23'388u);
   EXPECT_EQ(r.total_steps, 709'610u);
   EXPECT_EQ(r.spec_states_explored, 3'164'070u);
+  // Executions that stopped at their crash on a continuation-cache hit.
+  // Not part of the bit-identity contract (the counts above are), but
+  // deterministic for one serial engine and its fixed-size table.
+  EXPECT_EQ(r.crash_pruned, 13'241u);
+}
+
+// The continuation cache is a fixed-size table: it never grows with the
+// run, so its memory is a constant.
+TEST(ExactCounts, ContinuationCacheIsFixedSize) {
+  static_assert(refine::detail::ContinuationCache::kSlots == 1024);
+  EXPECT_EQ(refine::detail::ContinuationCache::kBytes, 24u * 1024u);
 }
 
 // The first counterexample of a seeded Mailboat bug is found at the same
@@ -104,6 +118,7 @@ TEST(ExactCounts, GroupCommitPct) {
   EXPECT_EQ(r.executions, 4000u);
   EXPECT_EQ(r.total_steps, 72'625u);
   EXPECT_EQ(r.spec_states_explored, 100'303u);
+  EXPECT_EQ(r.crash_pruned, 2'251u);
 }
 
 }  // namespace

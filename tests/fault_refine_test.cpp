@@ -290,9 +290,9 @@ TEST(FaultRandom, SingleCandidateEnvDrawKeepsStreamComparable) {
   refine::detail::RandomDriver driver(9, /*crash_p=*/0.0, env_p);
   Rng mirror(9);
   std::vector<refine::detail::Alt> alts;
-  alts.push_back({refine::detail::AltKind::kThread, 0, 0, "t0"});
-  alts.push_back({refine::detail::AltKind::kThread, 1, 0, "t1"});
-  alts.push_back({refine::detail::AltKind::kEnv, -1, 0, "fault:transient-write"});
+  alts.push_back({refine::detail::AltKind::kThread, 0, 0});
+  alts.push_back({refine::detail::AltKind::kThread, 1, 0});
+  alts.push_back({refine::detail::AltKind::kEnv, -1, 0});
   for (int i = 0; i < 200; ++i) {
     size_t pick = driver.Choose(alts);
     if (mirror.Chance(env_p)) {

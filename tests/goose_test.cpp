@@ -367,6 +367,7 @@ TEST(WorldTest, CrashNotifiesAllComponents) {
   struct Probe : CrashAware {
     int crashes = 0;
     void OnCrash() override { ++crashes; }
+    void MixSurvivingState(Hasher128*) const override {}
   };
   Probe a;
   Probe b;

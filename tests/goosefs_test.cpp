@@ -221,15 +221,50 @@ TEST_F(GooseFsTest, CrashReclaimsOrphanedSpoolInode) {
   EXPECT_EQ(fs_.InodeCountForTesting(), 0u);
 }
 
-TEST_F(GooseFsTest, DurableFingerprintDistinguishesStates) {
-  std::string before = fs_.DurableFingerprint();
+Hash128 SurvivingFp(const GooseFs& fs) {
+  Hasher128 h;
+  fs.MixSurvivingState(&h);
+  return h.digest();
+}
+
+TEST_F(GooseFsTest, SurvivingStateFingerprintDistinguishesStates) {
+  Hash128 before = SurvivingFp(fs_);
   auto body = [&]() -> Task<void> {
     Fd fd = (co_await fs_.Create("user0", "m")).value();
     (void)co_await fs_.Append(fd, BytesOfString("x"));
     (void)co_await fs_.Close(fd);
   };
   perennial::testing::SimRunVoid(body());
-  EXPECT_NE(fs_.DurableFingerprint(), before);
+  EXPECT_NE(SurvivingFp(fs_), before);
+}
+
+// Two file systems that reach the same trees through different inode and
+// fd numbers fingerprint equal after a crash; a hard link does not.
+TEST_F(GooseFsTest, SurvivingStateFingerprintIgnoresInodeNumbers) {
+  goose::World other_world;
+  GooseFs other(&other_world, {"spool", "user0", "user1"});
+  auto write = [](GooseFs& fs, const std::string& dir, const std::string& name,
+                  const std::string& data) -> Task<void> {
+    Fd fd = (co_await fs.Create(dir, name)).value();
+    (void)co_await fs.Append(fd, BytesOfString(data));
+    (void)co_await fs.Close(fd);
+  };
+  perennial::testing::SimRunVoid(write(fs_, "user0", "m", "x"));
+  // `other` burns inode and fd numbers on a file that is gone by the crash.
+  perennial::testing::SimRunVoid(write(other, "spool", "tmp", "junk"));
+  auto drop = [&]() -> Task<void> { (void)co_await other.Delete("spool", "tmp"); };
+  perennial::testing::SimRunVoid(drop());
+  perennial::testing::SimRunVoid(write(other, "user0", "m", "x"));
+  world_.Crash();
+  other_world.Crash();
+  EXPECT_EQ(SurvivingFp(fs_), SurvivingFp(other));
+
+  auto link = [](GooseFs& fs, const std::string& dst) -> Task<void> {
+    (void)co_await fs.Link("user0", "m", "user1", dst);
+  };
+  perennial::testing::SimRunVoid(link(fs_, "m"));
+  perennial::testing::SimRunVoid(write(other, "user1", "m", "x"));
+  EXPECT_NE(SurvivingFp(fs_), SurvivingFp(other)) << "a hard link must not mix like a copy";
 }
 
 // --- Deferred durability (the paper's named future-work extension) ---
