@@ -121,7 +121,9 @@ void BM_PosixFsCreateAppendDelete(benchmark::State& state) {
     std::filesystem::remove_all(root, ec);
     std::filesystem::create_directories(root, ec);
   }
-  goosefs::PosixFilesys fs(root, {.cache_dir_fds = true});
+  goosefs::PosixFilesys::Options fs_options;
+  fs_options.cache_dir_fds = true;
+  goosefs::PosixFilesys fs(root, fs_options);
   (void)fs.EnsureDirs({"dir"});
   goosefs::Bytes data(128, 'x');
   for (auto _ : state) {

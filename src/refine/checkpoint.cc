@@ -101,7 +101,6 @@ void PutReport(std::string* out, const Report& r) {
 
 std::string SerializePayload(const CheckpointData& data) {
   std::string out;
-  PutU8(&out, data.parallel ? 1 : 0);
   PutU32(&out, static_cast<uint32_t>(data.outcome));
   PutU64(&out, data.subtrees.size());
   for (const CheckpointSubtree& s : data.subtrees) {
@@ -284,7 +283,6 @@ Report GetReport(Cursor* c) {
 bool ParsePayload(const std::string& payload, CheckpointData* out) {
   Cursor c{&payload};
   CheckpointData data;
-  data.parallel = c.GetU8() != 0;
   uint32_t outcome = c.GetU32();
   if (outcome > static_cast<uint32_t>(RunOutcome::kOom)) {
     return false;

@@ -1,12 +1,13 @@
 // Durable-run checkpoints for the refinement checker.
 //
 // A checkpoint captures everything an interrupted exploration needs to
-// continue exactly where it stopped: one entry per work-item subtree (the
-// partition prefix, the DFS odometer's next decision path, the sleep-set
-// POR bookkeeping valid along it, and the partial Report the subtree has
-// accumulated), plus the verdict-cache contents when history dedup is on —
-// the dedup counters are part of the bit-identity contract, so the cache a
-// resumed run starts from must equal the one the interrupted run held.
+// continue exactly where it stopped: one entry per work item (a DFS
+// subtree's partition prefix, odometer cursor and sleep-set POR
+// bookkeeping, or a sample slice's next run, plus the partial Report the
+// item has accumulated), plus the verdict-cache contents when history
+// dedup is on — the dedup counters are part of the bit-identity contract,
+// so the cache a resumed run starts from must equal the one the
+// interrupted run held.
 // Per-execution state (env budgets, crash counts, thread schedules) is NOT
 // serialized: it is a pure function of the decision path and is rebuilt by
 // deterministic replay, the same mechanism the DFS uses on every iteration.
@@ -46,22 +47,27 @@ namespace perennial::refine {
 // witness minimize.h shrinks), and PCT/swarm runs reuse CheckpointSubtree
 // with prefix = {batch, lo, hi} and next_path = {next_run}.
 // v3: Reports carry crash_pruned.
-inline constexpr uint32_t kCheckpointVersion = 3;
+// v4: no engine byte (both engines write the same work list); random mode
+// writes sample slices like PCT.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
-// One work-item subtree's durable state. The engines use this struct
-// directly as their in-memory work list, so checkpointing is a snapshot of
-// the list, not a translation.
+// One work item's durable state. Both engines use this struct directly as
+// their in-memory work list, so checkpointing is a snapshot of the list,
+// not a translation. The item's kind follows the run's mode:
+//   * exhaustive: a DFS subtree. `prefix` is the partition prefix it owns
+//     (empty for the serial whole-tree item), `floor` the odometer level
+//     it may not retreat past, `next_path` the decision path of the next
+//     execution and `por_levels` the POR bookkeeping valid along it.
+//   * random and PCT: a sample slice, prefix = {batch, lo, hi} and
+//     next_path = {next run}.
+// A pending item's next_path is where it starts (== prefix for a subtree,
+// {lo} for a slice).
 struct CheckpointSubtree {
   enum class State : uint8_t { kPending = 0, kInProgress = 1, kDone = 2 };
 
   State state = State::kPending;
-  // The partition prefix this item owns (empty for the serial whole-tree
-  // item) and the odometer floor pinning it.
   std::vector<size_t> prefix;
   size_t floor = 0;
-  // kInProgress only: the exact decision path of the next execution to run
-  // and the POR level bookkeeping valid along it. For kPending items these
-  // hold the enumeration-provided seed (next_path == prefix).
   std::vector<size_t> next_path;
   std::vector<detail::PorLevel> por_levels;
   // The subtree's Report so far (complete for kDone).
@@ -70,7 +76,6 @@ struct CheckpointSubtree {
 
 struct CheckpointData {
   uint64_t config_fp = 0;
-  bool parallel = false;  // engine that wrote it (informational; either resumes)
   RunOutcome outcome = RunOutcome::kComplete;
   std::vector<CheckpointSubtree> subtrees;
   // Verdict-cache contents at save time (dedup_histories runs only).

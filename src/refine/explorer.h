@@ -46,16 +46,18 @@
 // assume the sibling subtree was explored in full, so max_preemptions >= 0
 // disables POR rather than compound two incomparable reductions.
 //
-// Parallelism: this header is the single-threaded reference engine. The
-// decision tree it walks is prefix-partitionable — every execution is fully
-// determined by its decision path, and factories are required to be
-// deterministic — so ParallelExplorer (parallel_explorer.h) enumerates
-// decision-path prefixes via EnumerateSubtreePrefixes() and hands each
-// disjoint subtree to a worker that re-runs this engine via
-// RunDfsSubtree(). Work items carry the POR bookkeeping for their prefix
-// (the footprints of already-explored sibling alternatives), so workers
-// reconstruct exactly the serial engine's sleep sets. Two further knobs
-// support that use:
+// Work items: every mode explores a list of CheckpointSubtree items
+// (checkpoint.h), and RunItem() runs one from its cursor. In exhaustive
+// mode an item is a DFS subtree — every execution is fully determined by
+// its decision path, and factories are required to be deterministic, so
+// the tree is prefix-partitionable. In random and PCT modes an item is a
+// slice of runs, each seeded by (seed, batch, run) alone. Run() is the
+// serial loop over the list; ParallelExplorer (parallel_explorer.h) hands
+// the same items to a worker pool, with DFS items coming from
+// EnumerateSubtreePrefixes(). DFS items carry the POR bookkeeping for their
+// prefix (the footprints of already-explored sibling alternatives), so
+// workers reconstruct exactly the serial engine's sleep sets. Two further
+// knobs support that use:
 //   * dedup_histories — fingerprint completed histories (src/base/hash.h)
 //     and skip the linearizability search for repeats. Sound because the
 //     spec check depends only on the history, every execution still runs in
@@ -80,6 +82,7 @@
 #define PERENNIAL_SRC_REFINE_EXPLORER_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -87,6 +90,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -212,7 +216,10 @@ struct ExplorerOptions {
   uint64_t max_executions = 2'000'000;  // DFS safety cap
   int max_violations = 3;               // stop collecting after this many
 
-  // Random and PCT modes:
+  // Random and PCT modes sample runs in slices of run indices; run r of
+  // batch b draws from a seed derived from (seed, b, r) alone, so reports
+  // do not depend on the engine, the worker count or resume splits, and
+  // max_violations applies per slice (the merged list is trimmed to it).
   uint64_t random_runs = 1000;      // executions sampled (per swarm batch in PCT mode)
   uint64_t seed = 1;
   double crash_probability = 0.05;  // per-step chance of injecting a crash
@@ -231,30 +238,27 @@ struct ExplorerOptions {
   // end of its enumeration order. Crash and environment alternatives stay
   // in scope via the same per-step probability draws random mode uses, so
   // crash placement and fault injection are sampled on top of the PCT
-  // thread schedule. Every run's seed is derived from (seed, batch, run
-  // index) alone, so reports are bit-identical across serial/parallel
-  // engines, worker counts, and checkpoint/resume splits (dedup counters
-  // excepted — see dedup_histories note below).
+  // thread schedule. Like random mode, reports are bit-identical across
+  // serial/parallel engines, worker counts, and checkpoint/resume splits
+  // (dedup counters excepted — see dedup_histories note below).
   int pct_depth = 3;                 // d: targeted bug depth (d-1 change points)
   uint64_t pct_change_budget = 256;  // k: steps the change points are drawn over
 
-  // Swarm mode: > 0 runs that many independent seed batches of random_runs
-  // PCT executions each (batch b reseeds from (seed, b)), merged into one
-  // report in batch order. With swarm_vary_depth the batches cycle
-  // pct_depth over {d-1, d, d+1} (floored at 2) so one sweep covers
-  // several bug depths. Batches ride the checkpoint/resume machinery:
-  // work items are (batch, run-range) slices, so an interrupted swarm
-  // resumes to the uninterrupted report.
+  // Swarm mode (PCT only; random mode always runs one batch): > 0 runs
+  // that many independent seed batches of random_runs PCT executions each,
+  // merged into one report in batch order. With swarm_vary_depth the
+  // batches cycle pct_depth over {d-1, d, d+1} (floored at 2) so one sweep
+  // covers several bug depths.
   uint64_t swarm_seeds = 0;
   bool swarm_vary_depth = false;
 
   // Skip the linearizability search for completed histories whose 128-bit
   // fingerprint was already checked this run (see the header comment for
-  // the soundness argument). Counted in Report::histories_deduped. In PCT
-  // mode dedup stays sound (verdicts are pure functions of the history)
-  // but the deduped COUNTER is excluded from the bit-identity contract:
-  // which run pays for a fingerprint depends on cache sharing across
-  // workers and on resume splits.
+  // the soundness argument). Counted in Report::histories_deduped. In the
+  // sampling modes dedup stays sound (verdicts are pure functions of the
+  // history) but the deduped COUNTER is excluded from the bit-identity
+  // contract: which run pays for a fingerprint depends on cache sharing
+  // across workers and on resume splits.
   bool dedup_histories = false;
 
   // Sleep-set dynamic partial-order reduction (header comment). Effective
@@ -268,14 +272,15 @@ struct ExplorerOptions {
   // cache is not re-counted), which several equivalence tests compare.
   bool memoize_spec_prefixes = false;
 
-  // Observability: invoked every progress_interval executions with
-  // cumulative counts. Under ParallelExplorer the callback fires on worker
-  // threads, one caller at a time (serialized by an internal mutex).
+  // Observability: invoked every progress_interval executions with the
+  // counts this Run() has added so far, summed over its work items. Under
+  // ParallelExplorer the callback fires on worker threads, one caller at a
+  // time (serialized by an internal mutex).
   std::function<void(const ExplorerProgress&)> progress_callback;
   uint64_t progress_interval = 1024;
 
   // ParallelExplorer only (ignored by the serial Explorer):
-  int num_workers = 4;  // OS threads exploring disjoint subtrees
+  int num_workers = 4;  // OS threads running work items
   // Decision-path depth at which the coordinator splits the tree into work
   // items. Deeper splits yield more, smaller items (better load balance,
   // more probe overhead); #items grows roughly with branching^depth.
@@ -288,7 +293,7 @@ struct ExplorerOptions {
   // set), and returns a partial Report tagged with the outcome.
 
   // Wall-clock budget for the whole run, measured from Run() (or the first
-  // RunDfsSubtree a ParallelExplorer worker executes). 0 = none.
+  // RunItem a ParallelExplorer worker executes). 0 = none.
   uint64_t wall_deadline_ms = 0;
   // Budget for ACCOUNTED memory: the linearizer's retained arena plus the
   // memo caches (which also get per-cache byte caps with whole-shard
@@ -315,9 +320,8 @@ struct ExplorerOptions {
   // rejected (stderr warning) and the run starts from scratch.
   std::string resume_path;
   // Periodic checkpoint cadence while the run is healthy: every N
-  // executions and/or every N seconds (whichever fires first). 0 = only on
-  // stop/completion. Exhaustive and PCT modes (plain random mode is not
-  // resumable).
+  // executions of this run and/or every N seconds (whichever fires first).
+  // 0 = only on stop/completion.
   uint64_t checkpoint_every_execs = 0;
   uint64_t checkpoint_every_secs = 0;
   // Distinguishes otherwise identically-configured runs of different
@@ -332,8 +336,8 @@ struct ExplorerOptions {
 };
 
 // Violation, Report, RunOutcome, CancelToken, and the detail:: POR
-// bookkeeping types moved to run_state.h (shared with the durable-run
-// layer); SubtreeWork and SubtreeCursor live there too.
+// bookkeeping types live in run_state.h (shared with the durable-run
+// layer); the work-item type CheckpointSubtree lives in checkpoint.h.
 
 namespace detail {
 
@@ -428,11 +432,11 @@ class RandomDriver : public Driver {
   double env_p_;
 };
 
-// The seed of PCT run `run` of batch `batch`: a pure function of the
-// top-level seed and the two indices, so ANY partition of the run space —
-// serial loop, parallel slices, resume legs — reproduces the identical
-// per-run executions.
-inline uint64_t PctRunSeed(uint64_t seed, uint64_t batch, uint64_t run) {
+// The seed of sampled run `run` of batch `batch` (random and PCT modes): a
+// pure function of the top-level seed and the two indices, so ANY
+// partition of the run space — serial loop, parallel slices, resume legs —
+// reproduces the identical per-run executions.
+inline uint64_t SampleRunSeed(uint64_t seed, uint64_t batch, uint64_t run) {
   uint64_t state = seed;
   (void)SplitMix64(state);
   state += (batch + 1) * 0x9E3779B97F4A7C15ull;
@@ -615,7 +619,7 @@ class ScheduleReplayDriver : public Driver {
 // crash. A fixed-size, direct-mapped table: a colliding insert replaces the
 // older entry, which only turns a later hit into a miss. One per engine,
 // never shared, so it needs no locks; the slots are allocated at the first
-// insert, so engines that never prune (probes, random mode) pay nothing.
+// insert, so engines that never prune (probes) pay nothing.
 class ContinuationCache {
  public:
   static constexpr size_t kSlots = 1024;
@@ -701,6 +705,136 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
   return f.digest().lo;
 }
 
+// Run-wide counts for progress_callback, summed over work items. The hook
+// an item runner calls after every completed execution hands over the
+// item's partial Report and a snapshot of what was already counted for the
+// item (its restored partial, at the item's start), so a resumed item adds
+// only the work of this run. Thread-safe: ParallelExplorer workers share
+// one tally.
+class ProgressTally {
+ public:
+  static ExplorerProgress CountsOf(const Report& r) {
+    return ExplorerProgress{r.executions,        r.total_steps,
+                            static_cast<uint64_t>(r.violations.size()),
+                            r.histories_checked, r.histories_deduped,
+                            r.por_pruned,        r.crash_pruned};
+  }
+
+  // Counts one completed execution, fires the callback every
+  // progress_interval run-wide executions, and returns the run-wide
+  // execution count.
+  uint64_t Add(const Report& partial, ExplorerProgress* seen, const ExplorerOptions& options) {
+    const ExplorerProgress now = CountsOf(partial);
+    auto add = [](std::atomic<uint64_t>& total, uint64_t grown) {
+      total.fetch_add(grown, std::memory_order_relaxed);
+    };
+    add(steps_, now.total_steps - seen->total_steps);
+    add(violations_, now.violations - seen->violations);
+    add(checked_, now.histories_checked - seen->histories_checked);
+    add(deduped_, now.histories_deduped - seen->histories_deduped);
+    add(por_pruned_, now.por_pruned - seen->por_pruned);
+    add(crash_pruned_, now.crash_pruned - seen->crash_pruned);
+    *seen = now;
+    const uint64_t executions = executions_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options.progress_callback != nullptr && options.progress_interval > 0 &&
+        executions % options.progress_interval == 0) {
+      auto load = [](const std::atomic<uint64_t>& total) {
+        return total.load(std::memory_order_relaxed);
+      };
+      std::scoped_lock lock(mu_);
+      options.progress_callback(ExplorerProgress{executions, load(steps_), load(violations_),
+                                                 load(checked_), load(deduped_),
+                                                 load(por_pruned_), load(crash_pruned_)});
+    }
+    return executions;
+  }
+
+  uint64_t executions() const { return executions_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> executions_{0};
+  std::atomic<uint64_t> steps_{0};
+  std::atomic<uint64_t> violations_{0};
+  std::atomic<uint64_t> checked_{0};
+  std::atomic<uint64_t> deduped_{0};
+  std::atomic<uint64_t> por_pruned_{0};
+  std::atomic<uint64_t> crash_pruned_{0};
+  std::mutex mu_;  // one callback at a time
+};
+
+// Restores a work list, and the verdict cache, from options.resume_path.
+// Any rejection (missing, torn, corrupt, version bump, config mismatch)
+// warns on stderr and returns false: the caller starts from scratch, which
+// is always sound. Both engines keep the same list, so either resumes the
+// other's file, at any worker count.
+inline bool ResumeWorkList(const ExplorerOptions& options, VerdictCache* verdicts,
+                           std::vector<CheckpointSubtree>* items) {
+  if (options.resume_path.empty()) {
+    return false;
+  }
+  CheckpointData data;
+  Status st = LoadCheckpoint(options.resume_path, ExplorationConfigFp(options), &data);
+  if (!st.ok()) {
+    std::fprintf(stderr, "[explorer] resume rejected, starting fresh: %s\n",
+                 st.ToString().c_str());
+    return false;
+  }
+  *items = std::move(data.subtrees);
+  for (CheckpointSubtree& item : *items) {
+    // The interruption is healed by resuming: the final report's
+    // truncated/outcome reflect THIS run, not the interrupted one.
+    item.partial.truncated = false;
+    item.partial.outcome = RunOutcome::kComplete;
+  }
+  for (const auto& [fp, verdict] : data.verdicts) {
+    verdicts->Insert(fp, verdict, VerdictEntryBytes(verdict));
+  }
+  return true;
+}
+
+// Writes `items` (under `items_mu` when workers may still be committing)
+// and, with dedup_histories, the verdict cache to options.checkpoint_path.
+// No path: nothing to do. A failed write warns and leaves the old file.
+inline void SaveWorkList(const ExplorerOptions& options, RunOutcome outcome,
+                         const std::vector<CheckpointSubtree>& items, const VerdictCache& verdicts,
+                         std::mutex* items_mu = nullptr) {
+  if (options.checkpoint_path.empty()) {
+    return;
+  }
+  CheckpointData data;
+  data.config_fp = ExplorationConfigFp(options);
+  data.outcome = outcome;
+  if (items_mu != nullptr) {
+    std::scoped_lock lock(*items_mu);
+    data.subtrees = items;
+  } else {
+    data.subtrees = items;
+  }
+  if (options.dedup_histories) {
+    verdicts.ForEach([&](const Hash128& fp, const std::optional<std::string>& verdict) {
+      data.verdicts.emplace_back(fp, verdict);
+    });
+  }
+  Status st = SaveCheckpoint(options.checkpoint_path, data);
+  if (!st.ok()) {
+    std::fprintf(stderr, "[explorer] checkpoint write failed: %s\n", st.ToString().c_str());
+  }
+}
+
+// Merges the items' partial Reports in list order — the order that makes
+// serial, parallel and resumed reports identical — and trims the
+// violations to the global cap (each item kept at most max_violations).
+inline Report MergeWorkList(const std::vector<CheckpointSubtree>& items, int max_violations) {
+  Report merged;
+  for (const CheckpointSubtree& item : items) {
+    MergeReport(&merged, item.partial);
+  }
+  if (merged.violations.size() > static_cast<size_t>(max_violations)) {
+    merged.violations.resize(static_cast<size_t>(max_violations));
+  }
+  return merged;
+}
+
 template <typename Spec>
 class Explorer {
  public:
@@ -723,20 +857,41 @@ class Explorer {
   // so the suite can show that it notices.
   void AdmitViolatingContinuationsForTesting() { admit_violating_continuations_ = true; }
 
+  // Explores the work list of options_.mode — one whole-tree DFS item, or
+  // the slices of BuildSampleItems() — item by item, resumed from
+  // options_.resume_path when that file is valid. A durability stop
+  // drains: the item in flight keeps its exact cursor and later items stay
+  // pending, in the returned partial Report and in the checkpoint.
   Report Run() {
     EnsureDurabilityInit();
-    Report report;
-    switch (options_.mode) {
-      case ExplorerOptions::Mode::kRandom:
-        report = RunRandomMode();
-        break;
-      case ExplorerOptions::Mode::kPct:
-        report = RunPctMode();
-        break;
-      case ExplorerOptions::Mode::kExhaustive:
-        report = RunExhaustiveMode();
-        break;
+    std::vector<CheckpointSubtree> items;
+    const bool resumed = ResumeWorkList(options_, verdict_cache_, &items);
+    if (!resumed) {
+      items = options_.mode == ExplorerOptions::Mode::kExhaustive
+                  ? std::vector<CheckpointSubtree>(1)  // the whole tree, floor 0
+                  : BuildSampleItems();
     }
+    ProgressTally tally;
+    periodic_items_ = &items;
+    for (CheckpointSubtree& item : items) {
+      if (item.state == CheckpointSubtree::State::kDone) {
+        continue;
+      }
+      ExplorerProgress seen = ProgressTally::CountsOf(item.partial);
+      RunItem(&item, [&](const Report& partial) {
+        tally.Add(partial, &seen, options_);
+        return true;
+      });
+      if (stop_cause_ != RunOutcome::kComplete) {
+        break;
+      }
+    }
+    periodic_items_ = nullptr;
+    // Written on completion too: resuming a finished checkpoint returns
+    // the full report without re-running anything.
+    SaveWorkList(options_, stop_cause_, items, *verdict_cache_);
+    Report report = MergeWorkList(items, options_.max_violations);
+    report.resumed = resumed;
     report.outcome = stop_cause_;
     return report;
   }
@@ -761,85 +916,61 @@ class Explorer {
     return report;
   }
 
-  // Slice granularity of the PCT work list (runs per work item): the load-
-  // balance unit for the parallel engine and the resume granularity cap.
-  static constexpr uint64_t kPctChunkRuns = 64;
+  // Runs per sample slice: the parallel engine's load-balance unit and the
+  // resume granularity cap.
+  static constexpr uint64_t kSliceRuns = 64;
 
-  // The PCT/swarm work list: (batch, run-range) slices encoded in
-  // CheckpointSubtree::prefix as {batch, lo, hi}, sliced in chunks of
-  // kPctChunkRuns for parallel load balance. Serial and parallel engines
-  // build the IDENTICAL list, so their checkpoints interconvert and the
-  // merged report is independent of who ran which slice.
-  std::vector<CheckpointSubtree> BuildPctItems() const {
+  // The sampling modes' work list: slices {batch, lo, hi} of run indices,
+  // encoded in CheckpointSubtree::prefix, each starting at next_path =
+  // {lo}. PCT swarm mode has swarm_seeds batches; random mode and plain
+  // PCT have one. Both engines build the IDENTICAL list, so their
+  // checkpoints interconvert and the merged report is independent of who
+  // ran which slice.
+  std::vector<CheckpointSubtree> BuildSampleItems() const {
     std::vector<CheckpointSubtree> items;
-    const uint64_t batches = options_.swarm_seeds == 0 ? 1 : options_.swarm_seeds;
+    const bool swarm = options_.mode == ExplorerOptions::Mode::kPct && options_.swarm_seeds > 0;
+    const uint64_t batches = swarm ? options_.swarm_seeds : 1;
     for (uint64_t b = 0; b < batches; ++b) {
-      for (uint64_t lo = 0; lo < options_.random_runs; lo += kPctChunkRuns) {
-        const uint64_t hi = std::min(options_.random_runs, lo + kPctChunkRuns);
+      for (uint64_t lo = 0; lo < options_.random_runs; lo += kSliceRuns) {
+        const uint64_t hi = std::min(options_.random_runs, lo + kSliceRuns);
         CheckpointSubtree item;
         item.prefix = {static_cast<size_t>(b), static_cast<size_t>(lo),
                        static_cast<size_t>(hi)};
+        item.next_path = {static_cast<size_t>(lo)};
         items.push_back(std::move(item));
       }
     }
     return items;
   }
 
-  // Runs PCT executions [start, hi) of batch `batch` into `report` — the
-  // PCT analogue of RunDfsSubtree, shared by the serial mode loop and
-  // ParallelExplorer workers. Each run is seeded by PctRunSeed(seed, batch,
-  // run) alone. Returns true when the slice completed (max_violations ends
-  // it the same way an uninterrupted slice would); false on a durability
-  // stop or keep_going veto, with *next_run naming the first run not
-  // completed — the resume cursor.
-  bool RunPctSlice(uint64_t batch, uint64_t start, uint64_t hi, Report* report,
-                   const std::function<bool(const Report&)>& keep_going = nullptr,
-                   uint64_t* next_run = nullptr) {
+  // Runs one work item from its cursor, accumulating onto item->partial:
+  // a DFS subtree in exhaustive mode, a sample slice otherwise. Leaves the
+  // cursor in the item: kDone once it is finished (max_violations ends an
+  // item the way an uninterrupted run would), else kInProgress with
+  // next_path — and, for DFS, por_levels — naming the exact next
+  // execution, so running the item again continues as if it had never
+  // stopped. `after_execution`, if set, sees item->partial after every
+  // completed execution; returning false stops the item there. A
+  // durability stop does the same; an execution it catches mid-run is
+  // rolled back (RunOnce) and stays the next one.
+  void RunItem(CheckpointSubtree* item,
+               const std::function<bool(const Report&)>& after_execution = nullptr) {
     EnsureDurabilityInit();
-    const int depth = PctBatchDepth(batch);
-    for (uint64_t r = start; r < hi; ++r) {
-      if (StopAtBoundary()) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r;
-        }
-        return false;
-      }
-      detail::PctDriver driver(detail::PctRunSeed(options_.seed, batch, r), depth,
-                               options_.pct_change_budget, options_.crash_probability,
-                               options_.env_probability);
-      if (!RunOnce(driver, report, nullptr, /*common_decisions=*/0, /*may_prune_crash=*/true)) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r;
-        }
-        return false;
-      }
-      ++execs_completed_;
-      NotifyProgress(*report);
-      if (report->violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        if (next_run != nullptr) {
-          *next_run = r + 1;
-        }
-        return true;
-      }
-      if (keep_going != nullptr && !keep_going(*report)) {
-        report->truncated = true;
-        if (next_run != nullptr) {
-          *next_run = r + 1;
-        }
-        return false;
-      }
-      MaybePeriodicCheckpoint({static_cast<size_t>(r + 1)}, {}, *report);
+    const bool finished = options_.mode == ExplorerOptions::Mode::kExhaustive
+                              ? RunSubtree(item, after_execution)
+                              : RunSlice(item, after_execution);
+    if (finished) {
+      item->state = CheckpointSubtree::State::kDone;
+      item->next_path.clear();
+      item->por_levels.clear();
+    } else {
+      item->state = CheckpointSubtree::State::kInProgress;
+      item->partial.truncated = true;
     }
-    if (next_run != nullptr) {
-      *next_run = hi;
-    }
-    return true;
   }
 
   // The durability stop cause so far (kComplete while none). Sticky: once a
-  // stop triggers, every later RunDfsSubtree call on this engine drains
+  // stop triggers, every later RunItem call on this engine drains
   // immediately — which is exactly what ParallelExplorer's cancel drain
   // relies on.
   RunOutcome stop_cause() const { return stop_cause_; }
@@ -850,147 +981,23 @@ class Explorer {
     return checker_.approx_retained_bytes() + verdict_cache_->bytes() + frontier_cache_->bytes();
   }
 
-  // Exhaustive DFS over decision sequences, replaying from scratch,
-  // restricted to paths that extend `work.prefix` (empty prefix = whole
-  // tree). The per-worker engine of ParallelExplorer: work items come from
-  // EnumerateSubtreePrefixes, so distinct items explore disjoint subtrees.
-  // `keep_going`, if set, is polled after every execution; returning false
-  // abandons the subtree and marks the report truncated.
-  //
-  // `cursor`, if set, receives where the walk stopped: finished (the
-  // subtree is fully explored, or max_violations ended the run the same
-  // way an uninterrupted one would) or the exact decision path + POR
-  // bookkeeping of the next execution. Resuming with that cursor as a new
-  // work item (prefix = next_path, por_seed = por_levels, floor = floor)
-  // continues the walk as if it had never stopped.
-  void RunDfsSubtree(SubtreeWork work, Report* report,
-                     const std::function<bool(const Report&)>& keep_going = nullptr,
-                     SubtreeCursor* cursor = nullptr) {
-    EnsureDurabilityInit();
-    const size_t floor = work.floor == SubtreeWork::kNoFloor ? work.prefix.size() : work.floor;
-    std::vector<size_t> path = std::move(work.prefix);
-    detail::PorContext por;
-    por.levels = std::move(work.por_seed);
-    detail::PorContext* por_ptr = PorActive() ? &por : nullptr;
-    auto capture = [&](bool finished) {
-      if (cursor == nullptr) {
-        return;
-      }
-      cursor->finished = finished;
-      cursor->floor = floor;
-      if (!finished) {
-        cursor->next_path = path;
-        cursor->por_levels = por.levels;
-      }
-    };
-    // Decisions this run provably shares with the previous run of THIS
-    // explorer: after the odometer bumps the decision at level a, levels
-    // 0..a-1 replay identically, so the histories agree on every event the
-    // previous run recorded before decision a (frontier-spine reuse). The
-    // first run shares nothing — even its work prefix replays decisions
-    // some OTHER explorer took.
-    size_t common_decisions = 0;
-    while (true) {
-      // Boundary poll: a stop already requested (or a deadline/memory
-      // trigger the amortized decision-point poll has not reached yet)
-      // ends the walk BETWEEN executions, with `path` untouched — the
-      // cursor names the execution that never started.
-      if (StopAtBoundary()) {
-        report->truncated = true;
-        capture(false);
-        return;
-      }
-      detail::DfsDriver driver(&path);
-      if (!RunOnce(driver, report, por_ptr, common_decisions, /*may_prune_crash=*/true)) {
-        // Durability stop mid-execution: RunOnce rolled its counters back,
-        // and `path` still holds the aborted execution's decisions (the
-        // prefix it replayed plus what it chose before the stop) — replay
-        // is deterministic, so resuming from this exact path re-runs the
-        // execution as if it had never been attempted.
-        report->truncated = true;
-        capture(false);
-        return;
-      }
-      ++execs_completed_;
-      NotifyProgress(*report);
-      // max_violations ends the run exactly like an uninterrupted one
-      // (finished, nothing to resume). Checked before keep_going fires, as
-      // the legacy loop did — the parallel global-execution counter never
-      // observes a subtree's stopping execution.
-      if (report->violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        capture(true);
-        return;
-      }
-      const bool hit_max_executions = report->executions >= options_.max_executions;
-      // The global-budget callback observes every other completed execution
-      // (ParallelExplorer aggregates progress through it); it runs before
-      // the odometer advances, but its verdict applies after, so the
-      // cursor a stop captures names the NEXT execution.
-      const bool keep =
-          hit_max_executions || keep_going == nullptr || keep_going(*report);
-      // Odometer: advance the deepest decision that still has untried
-      // alternatives; drop everything below it. A run that aborted early
-      // (violation, POR prune) consumed fewer decisions than the stale path
-      // holds, so first trim the path to what was actually replayed.
-      // Positions inside the assigned prefix are never advanced — they
-      // belong to other subtrees.
-      const std::vector<size_t>& counts = driver.counts();
-      PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
-      path.resize(counts.size());
-      bool advanced = false;
-      while (path.size() > floor) {
-        if (path.back() + 1 < counts[path.size() - 1]) {
-          ++path.back();
-          advanced = true;
-          break;
-        }
-        path.pop_back();
-      }
-      // POR bookkeeping below the advanced position is stale (it described
-      // subtrees of the previous sibling); the level being advanced keeps
-      // its explored-sibling list, which is exactly what the new sibling's
-      // sleep sets need.
-      if (por_ptr != nullptr && por.levels.size() > path.size()) {
-        por.levels.resize(path.size());
-      }
-      // Budget stops (legacy priority order): resumable whenever the
-      // subtree still has work (`advanced`).
-      if (hit_max_executions) {
-        report->truncated = true;
-        capture(!advanced);
-        return;
-      }
-      if (!keep) {
-        report->truncated = true;
-        capture(!advanced);
-        return;
-      }
-      if (!advanced) {
-        capture(true);
-        return;  // full bounded subtree explored
-      }
-      common_decisions = path.size() - 1;  // everything before the bumped level
-      MaybePeriodicCheckpoint(path, por.levels, *report);
-    }
-  }
-
   // Coordinator side of the parallel split: enumerates every reachable
   // decision-path prefix of length min(split_depth, run length) in DFS
-  // order, together with the POR bookkeeping a worker needs to reconstruct
-  // the serial sleep sets (see SubtreeWork). The returned prefixes
-  // partition the execution space — each decision path extends exactly one
-  // of them — so per-item RunDfsSubtree reports can be merged into the
-  // serial result. Each probe run is structure discovery only (its stats
-  // are discarded; the worker that owns the subtree re-runs it for real).
-  // Sets *truncated if max_executions probes did not suffice to finish the
-  // enumeration.
-  std::vector<SubtreeWork> EnumerateSubtreePrefixes(int split_depth, bool* truncated) {
+  // order, as pending DFS items (floor = next_path = prefix) carrying the
+  // POR bookkeeping a worker needs to reconstruct the serial sleep sets.
+  // The prefixes partition the execution space — each decision path
+  // extends exactly one of them — so per-item reports can be merged into
+  // the serial result. Each probe run is structure discovery only (its
+  // stats are discarded; the worker that owns the subtree re-runs it for
+  // real). Sets *truncated if max_executions probes did not suffice to
+  // finish the enumeration.
+  std::vector<CheckpointSubtree> EnumerateSubtreePrefixes(int split_depth, bool* truncated) {
     PCC_ENSURE(split_depth >= 0, "split_depth must be non-negative");
-    std::vector<SubtreeWork> items;
+    std::vector<CheckpointSubtree> items;
     Report scratch;
     std::vector<size_t> path;
-    detail::PorContext por;
-    detail::PorContext* por_ptr = PorActive() ? &por : nullptr;
+    std::vector<detail::PorLevel> por;
+    std::vector<detail::PorLevel>* por_ptr = PorActive() ? &por : nullptr;
     EnsureDurabilityInit();
     while (true) {
       detail::DfsDriver driver(&path);
@@ -1007,17 +1014,19 @@ class Explorer {
       PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
       path.resize(counts.size());
       const size_t plen = std::min(static_cast<size_t>(split_depth), path.size());
-      SubtreeWork item;
+      CheckpointSubtree item;
       item.prefix.assign(path.begin(), path.begin() + plen);
+      item.floor = plen;
+      item.next_path = item.prefix;
       if (por_ptr != nullptr) {
         // Ship, per prefix level, the alternatives explored before the one
         // the prefix takes — the sleep-set candidates a worker cannot
         // recompute (they belong to sibling subtrees).
-        item.por_seed.resize(plen);
+        item.por_levels.resize(plen);
         for (size_t l = 0; l < plen; ++l) {
-          const std::vector<detail::TriedAlt>& tried = por.levels[l].tried;
+          const std::vector<detail::TriedAlt>& tried = por[l].tried;
           const size_t keep = std::min(item.prefix[l], tried.size());
-          item.por_seed[l].tried.assign(tried.begin(), tried.begin() + keep);
+          item.por_levels[l].tried.assign(tried.begin(), tried.begin() + keep);
         }
       }
       items.push_back(std::move(item));
@@ -1040,8 +1049,8 @@ class Explorer {
       if (!advanced) {
         break;
       }
-      if (por_ptr != nullptr && por.levels.size() > path.size()) {
-        por.levels.resize(path.size());
+      if (por.size() > path.size()) {
+        por.resize(path.size());
       }
     }
     return items;
@@ -1049,6 +1058,125 @@ class Explorer {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  // Exhaustive DFS over decision sequences, replaying from scratch: every
+  // path extending item->next_path, advanced by the odometer, never
+  // retreating past item->floor (0 for the whole tree; the partition
+  // prefix's length for an enumerated item, whose other levels belong to
+  // sibling subtrees). next_path and por_levels advance in place. Returns
+  // whether the subtree is finished.
+  bool RunSubtree(CheckpointSubtree* item,
+                  const std::function<bool(const Report&)>& after_execution) {
+    Report* report = &item->partial;
+    std::vector<size_t>& path = item->next_path;
+    std::vector<detail::PorLevel>* por = PorActive() ? &item->por_levels : nullptr;
+    // Decisions this run provably shares with the previous run of THIS
+    // explorer: after the odometer bumps the decision at level a, levels
+    // 0..a-1 replay identically, so the histories agree on every event the
+    // previous run recorded before decision a (frontier-spine reuse). The
+    // first run shares nothing — even its work prefix replays decisions
+    // some OTHER explorer took.
+    size_t common_decisions = 0;
+    while (true) {
+      // Boundary poll: a stop already requested (or a deadline/memory
+      // trigger the amortized decision-point poll has not reached yet)
+      // ends the walk BETWEEN executions, with `path` untouched — the
+      // cursor names the execution that never started.
+      if (StopAtBoundary()) {
+        return false;
+      }
+      detail::DfsDriver driver(&path);
+      if (!RunOnce(driver, report, por, common_decisions, /*may_prune_crash=*/true)) {
+        // Durability stop mid-execution: RunOnce rolled its counters back,
+        // and `path` still holds the aborted execution's decisions (the
+        // prefix it replayed plus what it chose before the stop) — replay
+        // is deterministic, so resuming from this exact path re-runs the
+        // execution as if it had never been attempted.
+        return false;
+      }
+      ++execs_completed_;
+      const bool keep = after_execution == nullptr || after_execution(*report);
+      if (report->violations.size() >= static_cast<size_t>(options_.max_violations)) {
+        return true;
+      }
+      const bool hit_max_executions = report->executions >= options_.max_executions;
+      // Odometer: advance the deepest decision that still has untried
+      // alternatives; drop everything below it. A run that aborted early
+      // (violation, POR prune) consumed fewer decisions than the stale path
+      // holds, so first trim the path to what was actually replayed.
+      const std::vector<size_t>& counts = driver.counts();
+      PCC_ENSURE(path.size() >= counts.size(), "DFS: path shorter than counts");
+      path.resize(counts.size());
+      bool advanced = false;
+      while (path.size() > item->floor) {
+        if (path.back() + 1 < counts[path.size() - 1]) {
+          ++path.back();
+          advanced = true;
+          break;
+        }
+        path.pop_back();
+      }
+      // POR bookkeeping below the advanced position is stale (it described
+      // subtrees of the previous sibling); the level being advanced keeps
+      // its explored-sibling list, which is exactly what the new sibling's
+      // sleep sets need.
+      if (por != nullptr && por->size() > path.size()) {
+        por->resize(path.size());
+      }
+      // Budget stops: the cursor names the NEXT execution, so they are
+      // resumable whenever the subtree still has work (`advanced`).
+      if (hit_max_executions || !keep) {
+        report->truncated = true;
+        return !advanced;
+      }
+      if (!advanced) {
+        return true;  // full bounded subtree explored
+      }
+      common_decisions = path.size() - 1;  // everything before the bumped level
+      MaybePeriodicCheckpoint(item);
+    }
+  }
+
+  // Runs the sample slice {batch, lo, hi} from run next_path[0] (advanced
+  // in place). Run r gets a fresh driver seeded by SampleRunSeed(seed,
+  // batch, r) alone, so any split of the runs samples the same executions.
+  // Returns whether the slice is finished.
+  bool RunSlice(CheckpointSubtree* item,
+                const std::function<bool(const Report&)>& after_execution) {
+    PCC_ENSURE(item->prefix.size() == 3 && item->next_path.size() == 1, "malformed sample slice");
+    const uint64_t batch = item->prefix[0];
+    const int depth = PctBatchDepth(batch);
+    size_t& run = item->next_path[0];
+    while (run < item->prefix[2]) {
+      if (StopAtBoundary()) {
+        return false;
+      }
+      const uint64_t seed = detail::SampleRunSeed(options_.seed, batch, run);
+      bool completed = false;
+      if (options_.mode == ExplorerOptions::Mode::kPct) {
+        detail::PctDriver driver(seed, depth, options_.pct_change_budget,
+                                 options_.crash_probability, options_.env_probability);
+        completed = RunOnce(driver, &item->partial, nullptr, 0, /*may_prune_crash=*/true);
+      } else {
+        detail::RandomDriver driver(seed, options_.crash_probability, options_.env_probability);
+        completed = RunOnce(driver, &item->partial, nullptr, 0, /*may_prune_crash=*/true);
+      }
+      if (!completed) {
+        return false;
+      }
+      ++execs_completed_;
+      ++run;
+      const bool keep = after_execution == nullptr || after_execution(item->partial);
+      if (item->partial.violations.size() >= static_cast<size_t>(options_.max_violations)) {
+        return true;
+      }
+      if (!keep) {
+        return false;
+      }
+      MaybePeriodicCheckpoint(item);
+    }
+    return true;
+  }
 
   // The PCT depth batch `batch` runs at: pct_depth, or — under
   // swarm_vary_depth — cycling {d-1, d, d+1} (floored at 2) so one swarm
@@ -1072,15 +1200,14 @@ class Explorer {
   }
 
   // Whether executions may stop at their last crash on a continuation-
-  // cache hit (DESIGN.md §9). Plain random mode draws every run from one
-  // RNG stream, so skipped draws would shift every later run. Prefix
+  // cache hit (DESIGN.md §9). Every mode gives each execution its own
+  // driver, so draws a stopped execution skips shift no later run. Prefix
   // memoization makes a history's spec-state count depend on the cache, so
   // a cached count would not match a re-run. Under a memory budget the
   // verdict cache may evict the history a hit would have deduplicated
-  // against. The other modes and knobs give per-execution drivers and
-  // history-determined counts.
+  // against.
   bool CrashPruneActive() const {
-    return options_.mode != ExplorerOptions::Mode::kRandom && !options_.memoize_spec_prefixes &&
+    return !options_.memoize_spec_prefixes &&
            !(options_.dedup_histories && options_.max_memory_bytes > 0);
   }
 
@@ -1105,7 +1232,7 @@ class Explorer {
   // ---- Durable-run machinery ----
 
   // Lazily arms the durability checks: Run() is not the only entry point
-  // (ParallelExplorer workers call RunDfsSubtree directly), and the
+  // (ParallelExplorer workers call RunItem directly), and the
   // deadline is measured from whichever entry came first. When nothing
   // durability-related is configured, durability_active_ stays false and
   // the per-decision poll is a single branch on a plain bool.
@@ -1181,235 +1308,28 @@ class Explorer {
     return CheckDeadlineAndMemory();
   }
 
-  Report RunRandomMode() {
-    Report report;
-    detail::RandomDriver driver(options_.seed, options_.crash_probability,
-                                options_.env_probability);
-    for (uint64_t i = 0; i < options_.random_runs; ++i) {
-      if (StopAtBoundary() ||
-          !RunOnce(driver, &report, nullptr, /*common_decisions=*/0, /*may_prune_crash=*/false)) {
-        // Random runs are not resumable (the RNG stream has no durable
-        // cursor); a durability stop just ends the sampling early with the
-        // outcome tagged.
-        report.truncated = true;
-        break;
-      }
-      ++execs_completed_;
-      NotifyProgress(report);
-      if (report.violations.size() >= static_cast<size_t>(options_.max_violations)) {
-        break;
-      }
-    }
-    return report;
-  }
-
-  // Serial PCT/swarm driver: the same item loop as RunExhaustiveMode but
-  // over BuildPctItems slices, with run-granular resume (next_path holds
-  // the single cursor value: the next run index of the in-progress slice).
-  // A slice that hit max_violations counts as finished — like the
-  // exhaustive engine, later slices still run and the aggregate is trimmed,
-  // which keeps the report a pure function of the item list.
-  Report RunPctMode() {
-    std::vector<CheckpointSubtree> items;
-    bool resumed = TryResume(&items);
-    if (!resumed) {
-      items = BuildPctItems();
-    }
-    for (size_t i = 0; i < items.size(); ++i) {
-      CheckpointSubtree& item = items[i];
-      if (item.state == CheckpointSubtree::State::kDone) {
-        continue;
-      }
-      PCC_ENSURE(item.prefix.size() == 3, "PCT checkpoint item: malformed slice");
-      const uint64_t batch = item.prefix[0];
-      const uint64_t hi = item.prefix[2];
-      uint64_t start = item.prefix[1];
-      if (item.state == CheckpointSubtree::State::kInProgress && !item.next_path.empty()) {
-        start = item.next_path[0];
-      }
-      last_checkpoint_execs_ = 0;  // cadence is per-slice (partial resets)
-      periodic_hook_ = [this, &items, i](const std::vector<size_t>& next_path,
-                                         const std::vector<detail::PorLevel>&) {
-        CheckpointSubtree& cur = items[i];
-        cur.state = CheckpointSubtree::State::kInProgress;
-        cur.next_path = next_path;
-        WriteCheckpoint(items, /*parallel=*/false);
-      };
-      uint64_t next_run = start;
-      const bool finished = RunPctSlice(batch, start, hi, &item.partial,
-                                        /*keep_going=*/nullptr, &next_run);
-      periodic_hook_ = nullptr;
-      if (finished) {
-        item.state = CheckpointSubtree::State::kDone;
-        item.next_path.clear();
-      } else {
-        item.state = CheckpointSubtree::State::kInProgress;
-        item.next_path = {static_cast<size_t>(next_run)};
-      }
-      if (stop_cause_ != RunOutcome::kComplete) {
-        break;  // drain: later slices stay pending in the checkpoint
-      }
-    }
-    if (!options_.checkpoint_path.empty()) {
-      WriteCheckpoint(items, /*parallel=*/false);
-    }
-    Report aggregate;
-    aggregate.resumed = resumed;
-    for (const CheckpointSubtree& item : items) {
-      MergeReport(&aggregate, item.partial);
-    }
-    TrimReportViolations(&aggregate, options_.max_violations);
-    return aggregate;
-  }
-
-  Report RunExhaustiveMode() {
-    std::vector<CheckpointSubtree> items;
-    bool resumed = TryResume(&items);
-    if (!resumed) {
-      items.emplace_back();  // one pending whole-tree item, floor 0
-    }
-    for (size_t i = 0; i < items.size(); ++i) {
-      CheckpointSubtree& item = items[i];
-      if (item.state == CheckpointSubtree::State::kDone) {
-        continue;
-      }
-      SubtreeWork work;
-      if (item.state == CheckpointSubtree::State::kInProgress) {
-        work.prefix = item.next_path;
-        work.por_seed = item.por_levels;
-        work.floor = item.floor;
-      } else {
-        work.prefix = item.prefix;
-        work.por_seed = item.por_levels;
-        work.floor = item.floor;
-      }
-      // Arm the periodic-checkpoint hook with this item's context: a
-      // snapshot marks items before i done, i in-progress at the hook's
-      // cursor, and the rest pending.
-      periodic_hook_ = [this, &items, i](const std::vector<size_t>& next_path,
-                                         const std::vector<detail::PorLevel>& por_levels) {
-        CheckpointSubtree& cur = items[i];
-        cur.state = CheckpointSubtree::State::kInProgress;
-        cur.next_path = next_path;
-        cur.por_levels = por_levels;
-        WriteCheckpoint(items, /*parallel=*/false);
-      };
-      SubtreeCursor cursor;
-      RunDfsSubtree(std::move(work), &item.partial, /*keep_going=*/nullptr, &cursor);
-      periodic_hook_ = nullptr;
-      if (cursor.finished) {
-        item.state = CheckpointSubtree::State::kDone;
-        item.next_path.clear();
-        item.por_levels.clear();
-      } else {
-        item.state = CheckpointSubtree::State::kInProgress;
-        item.next_path = std::move(cursor.next_path);
-        item.por_levels = std::move(cursor.por_levels);
-        item.floor = cursor.floor;
-      }
-      if (stop_cause_ != RunOutcome::kComplete) {
-        break;  // drain: later items stay pending in the checkpoint
-      }
-    }
-    if (!options_.checkpoint_path.empty()) {
-      // Written on completion too: resuming a finished checkpoint returns
-      // the full report without re-running anything.
-      WriteCheckpoint(items, /*parallel=*/false);
-    }
-    Report aggregate;
-    aggregate.resumed = resumed;
-    for (const CheckpointSubtree& item : items) {
-      MergeReport(&aggregate, item.partial);
-    }
-    TrimReportViolations(&aggregate, options_.max_violations);
-    return aggregate;
-  }
-
-  // Loads options_.resume_path if set and valid; restores the work items
-  // and the verdict cache. Any rejection (torn, corrupt, version bump,
-  // config mismatch) warns on stderr and returns false — the caller
-  // starts from scratch, which is always sound.
-  bool TryResume(std::vector<CheckpointSubtree>* items) {
-    if (options_.resume_path.empty()) {
-      return false;
-    }
-    CheckpointData data;
-    Status st = LoadCheckpoint(options_.resume_path, ExplorationConfigFp(options_), &data);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[explorer] resume rejected, starting fresh: %s\n",
-                   st.ToString().c_str());
-      return false;
-    }
-    *items = std::move(data.subtrees);
-    for (CheckpointSubtree& item : *items) {
-      // The interruption is healed by resuming: the final report's
-      // truncated/outcome reflect THIS run, not the interrupted one.
-      item.partial.truncated = false;
-      item.partial.outcome = RunOutcome::kComplete;
-    }
-    for (const auto& [fp, verdict] : data.verdicts) {
-      verdict_cache_->Insert(fp, verdict, VerdictEntryBytes(verdict));
-    }
-    return true;
-  }
-
-  void WriteCheckpoint(const std::vector<CheckpointSubtree>& items, bool parallel) {
-    if (options_.checkpoint_path.empty()) {
+  // Periodic-cadence gate, called by the item runners after every
+  // completed execution with the item's cursor already advanced. Only
+  // Run() arms it (periodic_items_); the parallel coordinator writes its
+  // own periodic checkpoints.
+  void MaybePeriodicCheckpoint(CheckpointSubtree* item) {
+    if (periodic_items_ == nullptr || options_.checkpoint_path.empty()) {
       return;
     }
-    CheckpointData data;
-    data.config_fp = ExplorationConfigFp(options_);
-    data.parallel = parallel;
-    data.outcome = stop_cause_;
-    data.subtrees = items;
-    if (options_.dedup_histories) {
-      verdict_cache_->ForEach([&](const Hash128& fp, const std::optional<std::string>& verdict) {
-        data.verdicts.emplace_back(fp, verdict);
-      });
-    }
-    Status st = SaveCheckpoint(options_.checkpoint_path, data);
-    if (!st.ok()) {
-      std::fprintf(stderr, "[explorer] checkpoint write failed: %s\n", st.ToString().c_str());
-      return;
-    }
-    last_checkpoint_time_ = Clock::now();
-  }
-
-  // Periodic-cadence gate, called once per completed execution from the
-  // DFS loop (serial runs only; parallel periodic checkpoints are the
-  // coordinator's job).
-  void MaybePeriodicCheckpoint(const std::vector<size_t>& next_path,
-                               const std::vector<detail::PorLevel>& por_levels,
-                               const Report& report) {
-    if (periodic_hook_ == nullptr || options_.checkpoint_path.empty()) {
-      return;
-    }
-    bool due = false;
-    if (options_.checkpoint_every_execs > 0 &&
-        report.executions >= last_checkpoint_execs_ + options_.checkpoint_every_execs) {
-      due = true;
-    }
-    if (!due && options_.checkpoint_every_secs > 0 &&
-        Clock::now() >= last_checkpoint_time_ +
-                            std::chrono::seconds(options_.checkpoint_every_secs)) {
-      due = true;
-    }
+    const bool due =
+        (options_.checkpoint_every_execs > 0 &&
+         execs_completed_ >= last_checkpoint_execs_ + options_.checkpoint_every_execs) ||
+        (options_.checkpoint_every_secs > 0 &&
+         Clock::now() >= last_checkpoint_time_ + std::chrono::seconds(options_.checkpoint_every_secs));
     if (!due) {
       return;
     }
-    last_checkpoint_execs_ = report.executions;
-    periodic_hook_(next_path, por_levels);
+    last_checkpoint_execs_ = execs_completed_;
+    last_checkpoint_time_ = Clock::now();
+    item->state = CheckpointSubtree::State::kInProgress;
+    SaveWorkList(options_, stop_cause_, *periodic_items_, *verdict_cache_);
   }
 
-  void NotifyProgress(const Report& report) {
-    if (options_.progress_callback != nullptr && options_.progress_interval > 0 &&
-        report.executions % options_.progress_interval == 0) {
-      options_.progress_callback(ExplorerProgress{
-          report.executions, report.total_steps, static_cast<uint64_t>(report.violations.size()),
-          report.histories_checked, report.histories_deduped, report.por_pruned,
-          report.crash_pruned});
-    }
-  }
   proc::Task<void> ClientThread(int client, const std::vector<Op>* ops, Instance<Spec>* inst,
                                 History<Spec>* history) {
     for (const Op& op : *ops) {
@@ -1488,7 +1408,7 @@ class Explorer {
   // back to its entry value, so an aborted execution is indistinguishable
   // from one that never started — the caller re-runs the same decision
   // path on resume and deterministic replay reproduces it exactly.
-  bool RunOnce(detail::Driver& driver, Report* report, detail::PorContext* por,
+  bool RunOnce(detail::Driver& driver, Report* report, std::vector<detail::PorLevel>* por,
                size_t common_decisions, bool may_prune_crash) {
     const uint64_t entry_executions = report->executions;
     const uint64_t entry_crashes = report->crashes_injected;
@@ -1589,7 +1509,7 @@ class Explorer {
       if (por == nullptr) {
         return nullptr;
       }
-      const detail::PorLevel& level = por->levels[decision_level];
+      const detail::PorLevel& level = (*por)[decision_level];
       if (pick >= level.tried.size()) {
         sched.EnableFootprintCollection(true);
         return nullptr;
@@ -1609,7 +1529,7 @@ class Explorer {
         ++decision_level;
         return;
       }
-      detail::PorLevel& level = por->levels[decision_level];
+      detail::PorLevel& level = (*por)[decision_level];
       if (pick == level.tried.size()) {
         level.tried.push_back(detail::TriedAlt{alts[pick].kind, alts[pick].thread, fp});
       }
@@ -1618,8 +1538,8 @@ class Explorer {
     };
     // Ensures a PorLevel exists for the current decision.
     auto ensure_level = [&] {
-      if (por != nullptr && decision_level == por->levels.size()) {
-        por->levels.emplace_back();
+      if (por != nullptr && decision_level == por->size()) {
+        por->emplace_back();
       }
     };
     const bool prune_crash = may_prune_crash && CrashPruneActive() &&
@@ -1932,12 +1852,12 @@ class Explorer {
   Clock::time_point deadline_{};
   uint64_t decisions_total_ = 0;  // across every execution of this engine
   uint64_t poll_gate_ = 0;        // amortizes clock/memory reads in StopRequested
+  // Periodic checkpoints: the cadence is counted in execs_completed_, so
+  // it runs across items. periodic_items_ is Run()'s work list while it
+  // runs (null otherwise: engines driven through RunItem never write).
   uint64_t last_checkpoint_execs_ = 0;
   Clock::time_point last_checkpoint_time_ = Clock::now();
-  // Set by RunExhaustiveMode around each item; invoked by the DFS loop at
-  // the periodic cadence with the would-be-next cursor position.
-  std::function<void(const std::vector<size_t>&, const std::vector<detail::PorLevel>&)>
-      periodic_hook_;
+  const std::vector<CheckpointSubtree>* periodic_items_ = nullptr;
 };
 
 }  // namespace perennial::refine

@@ -8,7 +8,9 @@
 // the exact violation sequence). The interruption points are driven by the
 // deterministic cancel_after_decisions hook (serial) and a CancelToken
 // fired from the progress callback (parallel); both land inside executions,
-// so the rollback + exact-path-resume machinery is what is under test.
+// so the rollback + exact-path-resume machinery is what is under test. The
+// resume cases run DFS subtrees and random mode's sample slices alike: both
+// are items of the one work list the engines share.
 //
 // The checkpoint FILE format is tested separately: torn, truncated,
 // bit-flipped, version-bumped, trailing-garbage, and config-mismatched
@@ -173,6 +175,25 @@ System ShadowBugSystem() {
   return MakeSystem("shadow-bug", 1, PairSpec{}, [o] { return MakeShadowInstance(o); });
 }
 
+// The resume contracts hold for every kind of work item: DFS subtrees, and
+// the sample slices of random mode (PCT slices: pct_refine_test.cpp).
+// Random mode gets a run budget and a crash rate that make the catalog
+// workloads crash often and the seeded bug show.
+ExplorerOptions ModeOptions(ExplorerOptions::Mode mode) {
+  ExplorerOptions opts;
+  opts.mode = mode;
+  opts.random_runs = 300;
+  opts.crash_probability = 0.2;
+  return opts;
+}
+
+const ExplorerOptions::Mode kItemModes[] = {ExplorerOptions::Mode::kExhaustive,
+                                            ExplorerOptions::Mode::kRandom};
+
+std::string ModeName(ExplorerOptions::Mode mode) {
+  return mode == ExplorerOptions::Mode::kExhaustive ? "dfs" : "random";
+}
+
 // ---------------------------------------------------------------------------
 // Harness helpers.
 
@@ -236,7 +257,6 @@ Report RunSerialInterruptedChain(const System& sys, ExplorerOptions base, uint64
 CheckpointData SampleData() {
   CheckpointData data;
   data.config_fp = 0x1234567890abcdefULL;
-  data.parallel = true;
   data.outcome = RunOutcome::kDeadline;
   CheckpointSubtree done;
   done.state = CheckpointSubtree::State::kDone;
@@ -244,7 +264,7 @@ CheckpointData SampleData() {
   done.floor = 2;
   done.partial.executions = 17;
   done.partial.total_steps = 412;
-  done.partial.violations.push_back({"refinement", "write lost", "t0 t1 crash"});
+  done.partial.violations.push_back({"refinement", "write lost", "t0 t1 crash", {}});
   data.subtrees.push_back(done);
   CheckpointSubtree in_progress;
   in_progress.state = CheckpointSubtree::State::kInProgress;
@@ -272,7 +292,6 @@ TEST(CheckpointFile, SaveLoadRoundTrip) {
   CheckpointData loaded;
   ASSERT_TRUE(LoadCheckpoint(path, data.config_fp, &loaded).ok());
   EXPECT_EQ(loaded.config_fp, data.config_fp);
-  EXPECT_EQ(loaded.parallel, data.parallel);
   EXPECT_EQ(loaded.outcome, data.outcome);
   ASSERT_EQ(loaded.subtrees.size(), 2u);
   EXPECT_EQ(loaded.subtrees[0].state, CheckpointSubtree::State::kDone);
@@ -417,15 +436,19 @@ TEST(SerialResume, SeveralSplitPointsOnWal) {
 
 TEST(SerialResume, ViolationSequencePreserved) {
   System sys = ShadowBugSystem();
-  ExplorerOptions opts;
-  opts.max_crashes = 1;
-  opts.max_violations = 1 << 20;
-  Report baseline = sys.serial(opts);
-  ASSERT_GT(baseline.violations.size(), 0u);
-  int legs = 0;
-  Report resumed = RunSerialInterruptedChain(sys, opts, /*k=*/200, CkptPath("shadow-bug"), &legs);
-  EXPECT_GE(legs, 2);
-  ExpectReportsEqual(resumed, baseline);
+  for (ExplorerOptions::Mode mode : kItemModes) {
+    SCOPED_TRACE(ModeName(mode));
+    ExplorerOptions opts = ModeOptions(mode);
+    opts.max_crashes = 1;
+    opts.max_violations = 1 << 20;
+    Report baseline = sys.serial(opts);
+    ASSERT_GT(baseline.violations.size(), 0u);
+    int legs = 0;
+    Report resumed =
+        RunSerialInterruptedChain(sys, opts, /*k=*/200, CkptPath("shadow-bug"), &legs);
+    EXPECT_GE(legs, 2);
+    ExpectReportsEqual(resumed, baseline);
+  }
 }
 
 TEST(SerialResume, DedupCountersSurviveResume) {
@@ -593,71 +616,139 @@ Report RunParallelInterruptedChain(const System& sys, ExplorerOptions base, uint
 
 TEST(ParallelResume, CancelThenResumeMatchesBaseline) {
   System sys = TenSystems()[3];  // wal-2writers
-  ExplorerOptions opts;
-  opts.max_crashes = 1;
-  opts.num_workers = 4;
-  Report baseline = sys.parallel(opts);
-  ASSERT_FALSE(baseline.truncated);
-  for (int resume_workers : {1, 2, 4}) {
-    SCOPED_TRACE("resume_workers=" + std::to_string(resume_workers));
-    bool interrupted = false;
-    Report resumed = RunParallelInterruptedChain(sys, opts, /*cancel_at=*/40, resume_workers,
-                                                 CkptPath("par-wal"), &interrupted);
-    EXPECT_TRUE(interrupted) << "token cancel landed after completion; lower cancel_at";
-    EXPECT_TRUE(resumed.resumed);
-    ExpectReportsEqual(resumed, baseline);
+  for (ExplorerOptions::Mode mode : kItemModes) {
+    SCOPED_TRACE(ModeName(mode));
+    ExplorerOptions opts = ModeOptions(mode);
+    opts.max_crashes = 1;
+    opts.num_workers = 4;
+    Report baseline = sys.parallel(opts);
+    ASSERT_FALSE(baseline.truncated);
+    for (int resume_workers : {1, 2, 4}) {
+      SCOPED_TRACE("resume_workers=" + std::to_string(resume_workers));
+      bool interrupted = false;
+      Report resumed = RunParallelInterruptedChain(sys, opts, /*cancel_at=*/40, resume_workers,
+                                                   CkptPath("par-wal"), &interrupted);
+      EXPECT_TRUE(interrupted) << "token cancel landed after completion; lower cancel_at";
+      EXPECT_TRUE(resumed.resumed);
+      ExpectReportsEqual(resumed, baseline);
+    }
   }
 }
 
 TEST(ParallelResume, CrossEngineCheckpointsInterconvert) {
   System sys = TenSystems()[0];  // repl-2writers
+  const std::string path = CkptPath("cross");
+  for (ExplorerOptions::Mode mode : kItemModes) {
+    SCOPED_TRACE(ModeName(mode));
+    ExplorerOptions opts = ModeOptions(mode);
+    opts.max_crashes = 1;
+    opts.run_id = sys.name;
+    Report baseline = sys.serial(opts);
+    // Serial interrupt -> parallel resume.
+    {
+      std::remove(path.c_str());
+      ExplorerOptions first = opts;
+      first.checkpoint_path = path;
+      first.cancel_after_decisions = 200;
+      Report interrupted = sys.serial(first);
+      ASSERT_EQ(interrupted.outcome, RunOutcome::kCanceled);
+      ExplorerOptions resume = opts;
+      resume.resume_path = path;
+      resume.num_workers = 4;
+      Report resumed = sys.parallel(resume);
+      EXPECT_EQ(resumed.outcome, RunOutcome::kComplete);
+      EXPECT_TRUE(resumed.resumed);
+      ExpectReportsEqual(resumed, baseline);
+    }
+    // Parallel interrupt -> serial resume.
+    {
+      std::remove(path.c_str());
+      CancelToken token;
+      ExplorerOptions first = opts;
+      first.checkpoint_path = path;
+      first.num_workers = 2;
+      first.cancel_token = &token;
+      first.progress_interval = 1;
+      first.progress_callback = [&token](const ExplorerProgress& p) {
+        if (p.executions >= 30) {
+          token.RequestCancel();
+        }
+      };
+      Report interrupted = sys.parallel(first);
+      ASSERT_NE(interrupted.outcome, RunOutcome::kComplete);
+      ExplorerOptions resume = opts;
+      resume.resume_path = path;
+      Report resumed = sys.serial(resume);
+      EXPECT_EQ(resumed.outcome, RunOutcome::kComplete);
+      EXPECT_TRUE(resumed.resumed);
+      ExpectReportsEqual(resumed, baseline);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A serial resume of a parallel (multi-item) checkpoint writes periodic
+// checkpoints inside every item it runs, not only inside the first: the
+// cadence counts the run's executions, whichever item they belong to. The
+// progress callback reloads the file after every execution and records how
+// far each in-progress item had got.
+TEST(SerialResume, PeriodicCheckpointsAdvanceInsideEveryItem) {
+  System sys = TenSystems()[3];  // wal-2writers
   ExplorerOptions opts;
   opts.max_crashes = 1;
-  Report baseline = sys.serial(opts);
-  const std::string path = CkptPath("cross");
-  // Serial interrupt -> parallel resume.
-  {
-    std::remove(path.c_str());
-    ExplorerOptions first = opts;
-    first.run_id = sys.name;
-    first.checkpoint_path = path;
-    first.cancel_after_decisions = 200;
-    Report interrupted = sys.serial(first);
-    ASSERT_EQ(interrupted.outcome, RunOutcome::kCanceled);
-    ExplorerOptions resume = opts;
-    resume.run_id = sys.name;
-    resume.resume_path = path;
-    resume.num_workers = 4;
-    Report resumed = sys.parallel(resume);
-    EXPECT_EQ(resumed.outcome, RunOutcome::kComplete);
-    EXPECT_TRUE(resumed.resumed);
-    ExpectReportsEqual(resumed, baseline);
-  }
-  // Parallel interrupt -> serial resume.
-  {
-    std::remove(path.c_str());
-    CancelToken token;
-    ExplorerOptions first = opts;
-    first.run_id = sys.name;
-    first.checkpoint_path = path;
-    first.num_workers = 2;
-    first.cancel_token = &token;
-    first.progress_interval = 1;
-    first.progress_callback = [&token](const ExplorerProgress& p) {
-      if (p.executions >= 30) {
-        token.RequestCancel();
+  opts.run_id = sys.name;
+  const std::string path = CkptPath("periodic-items");
+  std::remove(path.c_str());
+  CancelToken token;
+  ExplorerOptions first = opts;
+  first.num_workers = 1;
+  first.checkpoint_path = path;
+  first.cancel_token = &token;
+  first.progress_interval = 1;
+  first.progress_callback = [&token](const ExplorerProgress& p) {
+    if (p.executions >= 5) {
+      token.RequestCancel();
+    }
+  };
+  ASSERT_EQ(sys.parallel(first).outcome, RunOutcome::kCanceled);
+  CheckpointData before;
+  ASSERT_TRUE(LoadCheckpoint(path, 0, &before).ok());
+  ASSERT_GT(before.subtrees.size(), 2u);
+
+  std::vector<uint64_t> shown(before.subtrees.size(), 0);
+  ExplorerOptions resume = opts;
+  resume.resume_path = path;
+  resume.checkpoint_path = path;
+  resume.checkpoint_every_execs = 2;
+  resume.progress_interval = 1;
+  resume.progress_callback = [&](const ExplorerProgress&) {
+    CheckpointData now;
+    ASSERT_TRUE(LoadCheckpoint(path, 0, &now).ok());
+    ASSERT_EQ(now.subtrees.size(), shown.size());
+    for (size_t i = 0; i < shown.size(); ++i) {
+      if (now.subtrees[i].state == CheckpointSubtree::State::kInProgress) {
+        shown[i] = std::max(shown[i], now.subtrees[i].partial.executions);
       }
-    };
-    Report interrupted = sys.parallel(first);
-    ASSERT_NE(interrupted.outcome, RunOutcome::kComplete);
-    ExplorerOptions resume = opts;
-    resume.run_id = sys.name;
-    resume.resume_path = path;
-    Report resumed = sys.serial(resume);
-    EXPECT_EQ(resumed.outcome, RunOutcome::kComplete);
-    EXPECT_TRUE(resumed.resumed);
-    ExpectReportsEqual(resumed, baseline);
+    }
+  };
+  ASSERT_EQ(sys.serial(resume).outcome, RunOutcome::kComplete);
+  CheckpointData after;
+  ASSERT_TRUE(LoadCheckpoint(path, 0, &after).ok());
+  ASSERT_EQ(after.subtrees.size(), before.subtrees.size());
+  int items_checked = 0;
+  for (size_t i = 0; i < before.subtrees.size(); ++i) {
+    const uint64_t start = before.subtrees[i].partial.executions;
+    const uint64_t ran = after.subtrees[i].partial.executions - start;
+    // Every 2 executions a checkpoint lands; with 3 or more, one lands
+    // before the item's last execution, and the next callback sees it.
+    if (before.subtrees[i].state == CheckpointSubtree::State::kDone || ran < 3) {
+      continue;
+    }
+    ++items_checked;
+    EXPECT_GT(shown[i], start) << "no periodic checkpoint inside item " << i << " (" << ran
+                               << " executions)";
   }
+  EXPECT_GE(items_checked, 2);
   std::remove(path.c_str());
 }
 

@@ -9,10 +9,10 @@
 // The suite wraps each factory to clear the hook instead of adding an
 // option, and covers every §9.1 system and Mailboat, with all their seeded
 // mutations on and off, under the serial engine, ParallelExplorer at 2 and
-// 4 workers, PCT, and the checkpoint interrupt/resume path. Two negative
-// controls must be caught: a hook that leaves out the surviving durable
-// state, and a cache that also admits continuations that added a
-// violation.
+// 4 workers, PCT, random mode, and the checkpoint interrupt/resume path.
+// Two negative controls must be caught: a hook that leaves out the
+// surviving durable state, and a cache that also admits continuations that
+// added a violation.
 //
 // CrashPruneSmall.* is the tier-1 shape; the rest runs as
 // crash_prune_refine_full (label tier2-crashprune), also under
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -450,6 +451,22 @@ TEST(CrashPruneSmall, GroupCommitPct) {
   EXPECT_GT(hooked.crash_pruned, 0u);
 }
 
+TEST(CrashPruneSmall, GroupCommitRandom) {
+  GcHarnessOptions o;
+  o.client_ops = {{GcSpec::MakeWrite(1), GcSpec::MakeRead()},
+                  {GcSpec::MakeWrite(2)},
+                  {GcSpec::MakeFlush(), GcSpec::MakeRead()}};
+  System sys = MakeSystem<GcSpec>("gc-random", 1, GcSpec{}, [o] { return MakeGcInstance(o); });
+  ExplorerOptions opts;
+  opts.max_crashes = 1;
+  opts.mode = ExplorerOptions::Mode::kRandom;
+  opts.random_runs = 500;
+  opts.seed = 5;
+  Report hooked = sys.serial(opts, /*hooked=*/true);
+  ExpectSameReport(hooked, sys.serial(opts, /*hooked=*/false));
+  EXPECT_GT(hooked.crash_pruned, 0u);
+}
+
 // Negative control 1: a hook that mixes only Mailboat's id generator and
 // leaves out the file system. Crashes that leave different spool files
 // behind under the same history then share a key, and a hit credits the
@@ -531,7 +548,9 @@ TEST(CrashPruneEquivalence, ParallelWorkers) {
   }
 }
 
-TEST(CrashPruneEquivalence, PctSerialAndParallel) {
+// The sampling modes: every run has its own driver, so a run that stops at
+// its last crash skips no draw a later run depends on.
+void ExpectSampledEquivalence(ExplorerOptions::Mode mode) {
   std::vector<System> systems = CorrectSystems();
   for (System& sys : MutatedSystems()) {
     systems.push_back(std::move(sys));
@@ -540,7 +559,7 @@ TEST(CrashPruneEquivalence, PctSerialAndParallel) {
     SCOPED_TRACE(sys.name);
     ExplorerOptions opts;
     opts.max_crashes = sys.max_crashes;
-    opts.mode = ExplorerOptions::Mode::kPct;
+    opts.mode = mode;
     opts.random_runs = 200;
     opts.seed = 11;
     opts.crash_probability = 0.1;
@@ -554,6 +573,14 @@ TEST(CrashPruneEquivalence, PctSerialAndParallel) {
       ExpectSameReport(sys.parallel(opts, /*hooked=*/true), unhooked);
     }
   }
+}
+
+TEST(CrashPruneEquivalence, PctSerialAndParallel) {
+  ExpectSampledEquivalence(ExplorerOptions::Mode::kPct);
+}
+
+TEST(CrashPruneEquivalence, RandomSerialAndParallel) {
+  ExpectSampledEquivalence(ExplorerOptions::Mode::kRandom);
 }
 
 // Interrupt every k decisions, checkpoint, resume until done: the resumed
@@ -576,17 +603,19 @@ TEST(CrashPruneEquivalence, CheckpointInterruptResume) {
     systems.push_back(MakeSystem<PairSpec>("shadow-in_place_update", 1, PairSpec{},
                                            [o] { return MakeShadowInstance(o); }));
   }
+  const std::pair<ExplorerOptions::Mode, std::string> modes[] = {
+      {ExplorerOptions::Mode::kExhaustive, "dfs"},
+      {ExplorerOptions::Mode::kPct, "pct"},
+      {ExplorerOptions::Mode::kRandom, "random"}};
   for (const System& sys : systems) {
-    for (bool pct : {false, true}) {
-      SCOPED_TRACE(sys.name + (pct ? " pct" : " dfs"));
+    for (const auto& [mode, mode_name] : modes) {
+      SCOPED_TRACE(sys.name + " " + mode_name);
       ExplorerOptions opts = FullEnumeration(sys);
-      if (pct) {
-        opts.mode = ExplorerOptions::Mode::kPct;
-        opts.random_runs = 300;
-        opts.crash_probability = 0.1;
-      }
+      opts.mode = mode;
+      opts.random_runs = 300;
+      opts.crash_probability = 0.1;
       Report want = sys.serial(opts, /*hooked=*/false);
-      const std::string path = "ckpt_crash_prune_" + sys.name + (pct ? "_pct" : "_dfs") + ".bin";
+      const std::string path = "ckpt_crash_prune_" + sys.name + "_" + mode_name + ".bin";
       std::remove(path.c_str());
       opts.run_id = sys.name;
       opts.checkpoint_path = path;

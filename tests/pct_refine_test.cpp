@@ -9,7 +9,8 @@
 //     1/2/4 workers, for plain PCT and for swarm mode (many seed batches),
 //     including run counts that do not align with the work-item chunk size;
 //   * checkpoint/resume: a swarm interrupted every k decisions and resumed
-//     from its checkpoint file converges to the uninterrupted report;
+//     from its checkpoint file converges to the uninterrupted report, under
+//     either engine — for plain random mode too, which runs the same slices;
 //   * bug-finding power: for every pct_suite.h deep bug, bounded DFS at
 //     the calibrated budget truncates with ZERO violations while PCT d=3
 //     finds the bug within the same budget for every suite seed, and a
@@ -143,31 +144,40 @@ TEST(PctDeterminism, SeedIsLoadBearing) {
 
 // ---------- Checkpoint/resume mid-swarm ----------
 
+// Random mode runs the same slices with a RandomDriver per run (one batch:
+// swarm_seeds is PCT-only), so it shares every resume contract below.
+const ExplorerOptions::Mode kSamplingModes[] = {ExplorerOptions::Mode::kPct,
+                                                ExplorerOptions::Mode::kRandom};
+
 TEST(PctCheckpoint, InterruptedSwarmConvergesToUninterrupted) {
   WithDeadlockEntry([](const DeepBugInfo&, auto spec, auto factory) {
-    using Spec = decltype(spec);
-    ExplorerOptions base = DeterminismOptions(/*seed=*/5, /*runs=*/80, /*swarm=*/4);
-    Report want = Explorer<Spec>(spec, factory, base).Run();
-    ASSERT_EQ(want.outcome, RunOutcome::kComplete);
+    for (ExplorerOptions::Mode mode : kSamplingModes) {
+      SCOPED_TRACE(mode == ExplorerOptions::Mode::kPct ? "pct" : "random");
+      using Spec = decltype(spec);
+      ExplorerOptions base = DeterminismOptions(/*seed=*/5, /*runs=*/80, /*swarm=*/4);
+      base.mode = mode;
+      Report want = Explorer<Spec>(spec, factory, base).Run();
+      ASSERT_EQ(want.outcome, RunOutcome::kComplete);
 
-    const std::string path = ::testing::TempDir() + "pct_swarm_resume.ckpt";
-    std::remove(path.c_str());
-    ExplorerOptions opts = base;
-    opts.checkpoint_path = path;
-    opts.cancel_after_decisions = 400;
-    Report r = Explorer<Spec>(spec, factory, opts).Run();
-    int legs = 1;
-    opts.resume_path = path;
-    while (r.outcome != RunOutcome::kComplete && legs < 2000) {
-      ASSERT_EQ(r.outcome, RunOutcome::kCanceled) << r.Summary();
-      EXPECT_TRUE(r.truncated);
-      r = Explorer<Spec>(spec, factory, opts).Run();
-      ++legs;
+      const std::string path = ::testing::TempDir() + "pct_swarm_resume.ckpt";
+      std::remove(path.c_str());
+      ExplorerOptions opts = base;
+      opts.checkpoint_path = path;
+      opts.cancel_after_decisions = 400;
+      Report r = Explorer<Spec>(spec, factory, opts).Run();
+      int legs = 1;
+      opts.resume_path = path;
+      while (r.outcome != RunOutcome::kComplete && legs < 2000) {
+        ASSERT_EQ(r.outcome, RunOutcome::kCanceled) << r.Summary();
+        EXPECT_TRUE(r.truncated);
+        r = Explorer<Spec>(spec, factory, opts).Run();
+        ++legs;
+      }
+      ASSERT_EQ(r.outcome, RunOutcome::kComplete) << "chain did not converge: " << r.Summary();
+      EXPECT_GE(legs, 2) << "cancel_after_decisions never fired; workload too small?";
+      ExpectReportsEqual(r, want);
+      std::remove(path.c_str());
     }
-    ASSERT_EQ(r.outcome, RunOutcome::kComplete) << "chain did not converge: " << r.Summary();
-    EXPECT_GE(legs, 2) << "cancel_after_decisions never fired; workload too small?";
-    ExpectReportsEqual(r, want);
-    std::remove(path.c_str());
   });
 }
 
@@ -175,31 +185,35 @@ TEST(PctCheckpoint, SerialInterruptParallelResume) {
   // Work items are engine-agnostic: a swarm interrupted under the serial
   // engine finishes under ParallelExplorer with the identical report.
   WithDeadlockEntry([](const DeepBugInfo&, auto spec, auto factory) {
-    using Spec = decltype(spec);
-    ExplorerOptions base = DeterminismOptions(/*seed=*/9, /*runs=*/80, /*swarm=*/2);
-    Report want = Explorer<Spec>(spec, factory, base).Run();
+    for (ExplorerOptions::Mode mode : kSamplingModes) {
+      SCOPED_TRACE(mode == ExplorerOptions::Mode::kPct ? "pct" : "random");
+      using Spec = decltype(spec);
+      ExplorerOptions base = DeterminismOptions(/*seed=*/9, /*runs=*/80, /*swarm=*/2);
+      base.mode = mode;
+      Report want = Explorer<Spec>(spec, factory, base).Run();
 
-    const std::string path = ::testing::TempDir() + "pct_cross_resume.ckpt";
-    std::remove(path.c_str());
-    ExplorerOptions first = base;
-    first.checkpoint_path = path;
-    first.cancel_after_decisions = 600;
-    Report partial = Explorer<Spec>(spec, factory, first).Run();
-    ASSERT_EQ(partial.outcome, RunOutcome::kCanceled) << partial.Summary();
+      const std::string path = ::testing::TempDir() + "pct_cross_resume.ckpt";
+      std::remove(path.c_str());
+      ExplorerOptions first = base;
+      first.checkpoint_path = path;
+      first.cancel_after_decisions = 600;
+      Report partial = Explorer<Spec>(spec, factory, first).Run();
+      ASSERT_EQ(partial.outcome, RunOutcome::kCanceled) << partial.Summary();
 
-    ExplorerOptions rest = base;
-    rest.resume_path = path;
-    rest.checkpoint_path = path;
-    rest.num_workers = 4;
-    Report resumed = ParallelExplorer<Spec>(spec, factory, rest).Run();
-    int legs = 2;
-    while (resumed.outcome != RunOutcome::kComplete && legs < 2000) {
-      resumed = ParallelExplorer<Spec>(spec, factory, rest).Run();
-      ++legs;
+      ExplorerOptions rest = base;
+      rest.resume_path = path;
+      rest.checkpoint_path = path;
+      rest.num_workers = 4;
+      Report resumed = ParallelExplorer<Spec>(spec, factory, rest).Run();
+      int legs = 2;
+      while (resumed.outcome != RunOutcome::kComplete && legs < 2000) {
+        resumed = ParallelExplorer<Spec>(spec, factory, rest).Run();
+        ++legs;
+      }
+      ASSERT_EQ(resumed.outcome, RunOutcome::kComplete) << resumed.Summary();
+      ExpectReportsEqual(resumed, want);
+      std::remove(path.c_str());
     }
-    ASSERT_EQ(resumed.outcome, RunOutcome::kComplete) << resumed.Summary();
-    ExpectReportsEqual(resumed, want);
-    std::remove(path.c_str());
   });
 }
 
