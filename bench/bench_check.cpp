@@ -5,7 +5,10 @@
 //
 // Failure conditions:
 //  * a cell's execution count differs from the committed row (the state
-//    space changed but the baseline was not regenerated), or
+//    space changed but the baseline was not regenerated),
+//  * a cell's crash_pruned count differs from the committed row, when the
+//    row carries one (the cells run serially, so the post-crash
+//    continuation cache prunes the same executions on every run), or
 //  * a cell's wall time exceeds 3x the committed ms (plus a small absolute
 //    floor so sub-millisecond rows do not trip on scheduler noise).
 //
@@ -31,6 +34,7 @@
 // `bench_fig11_mailboat --at-scale --json ...`.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -61,6 +65,7 @@ struct BaselineCell {
   uint64_t executions = 0;
   double ms = 0;
   double cpu_us_per_request = 0;  // 0 = row has no CPU baseline
+  double crash_pruned = -1;       // -1 = row has no crash_pruned count
 };
 
 // Minimal scan of the bench_json.h output format: one row object per line,
@@ -73,10 +78,13 @@ BaselineCell FindCell(const std::string& json, const std::string& slug, bool por
   if (at == std::string::npos) {
     return cell;
   }
+  // Some keys only some rows carry; an unbounded find would read them off a
+  // later row, so the scan stops at this row's closing brace.
+  const size_t row_end = json.find('}', at);
   auto field = [&](const char* name) -> double {
     std::string key = std::string("\"") + name + "\": ";
     size_t k = json.find(key, at);
-    if (k == std::string::npos) {
+    if (k == std::string::npos || k > row_end) {
       return -1;
     }
     return std::strtod(json.c_str() + k + key.size(), nullptr);
@@ -84,19 +92,14 @@ BaselineCell FindCell(const std::string& json, const std::string& slug, bool por
   cell.found = true;
   cell.executions = static_cast<uint64_t>(field("executions"));
   cell.ms = field("ms");
-  // Only perf rows carry the key; the unbounded find would otherwise read
-  // it off a later row, so stop the scan at this row's closing brace.
-  size_t row_end = json.find('}', at);
-  size_t cpu_at = json.find("\"cpu_us_per_request\": ", at);
-  if (cpu_at != std::string::npos && (row_end == std::string::npos || cpu_at < row_end)) {
-    cell.cpu_us_per_request =
-        std::strtod(json.c_str() + cpu_at + std::strlen("\"cpu_us_per_request\": "), nullptr);
-  }
+  cell.cpu_us_per_request = std::max(field("cpu_us_per_request"), 0.0);
+  cell.crash_pruned = field("crash_pruned");
   return cell;
 }
 
 struct Measured {
   uint64_t executions = 0;
+  uint64_t crash_pruned = 0;
   double ms = 0;
 };
 
@@ -105,12 +108,12 @@ Measured RunCell(Spec spec, Factory factory, int max_crashes, bool por) {
   ExplorerOptions opts;
   opts.max_crashes = max_crashes;
   opts.use_por = por;
-  opts.memoize_spec_prefixes = por;  // the sweep's "after" = full engine
   auto start = std::chrono::steady_clock::now();
   refine::Explorer<Spec> ex(std::move(spec), factory, opts);
   Report report = ex.Run();
   Measured m;
   m.executions = report.executions;
+  m.crash_pruned = report.crash_pruned;
   m.ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
              .count();
   return m;
@@ -153,6 +156,15 @@ int main(int argc, char** argv) {
       ++failures;
       return;
     }
+    if (base.crash_pruned >= 0 && m.crash_pruned != static_cast<uint64_t>(base.crash_pruned)) {
+      std::fprintf(stderr,
+                   "FAIL %s por=%d: crash_pruned %llu != committed %.0f "
+                   "(continuation cache changed; regenerate BENCH_refine.json)\n",
+                   slug.c_str(), por, static_cast<unsigned long long>(m.crash_pruned),
+                   base.crash_pruned);
+      ++failures;
+      return;
+    }
     double allowed = 3.0 * base.ms;
     if (allowed < kFloorMs) {
       allowed = kFloorMs;
@@ -163,9 +175,10 @@ int main(int argc, char** argv) {
       ++failures;
       return;
     }
-    std::printf("ok   %s por=%d: %llu execs, %.1f ms (baseline %.1f ms, allowed %.1f ms)\n",
-                slug.c_str(), por, static_cast<unsigned long long>(m.executions), m.ms, base.ms,
-                allowed);
+    std::printf("ok   %s por=%d: %llu execs, %llu crash-pruned, %.1f ms (baseline %.1f ms, "
+                "allowed %.1f ms)\n",
+                slug.c_str(), por, static_cast<unsigned long long>(m.executions),
+                static_cast<unsigned long long>(m.crash_pruned), m.ms, base.ms, allowed);
   };
 
   {

@@ -71,8 +71,16 @@ std::string PickRoot() {
   std::exit(1);
 }
 
+// PosixFilesys options choosing only the directory-fd cache; the rest
+// default.
+PosixFilesys::Options DirFdCache(bool on) {
+  PosixFilesys::Options options;
+  options.cache_dir_fds = on;
+  return options;
+}
+
 double RunMailboat(const std::string& root, int threads) {
-  PosixFilesys posix(root, {.cache_dir_fds = true});
+  PosixFilesys posix(root, DirFdCache(true));
   PCC_ENSURE(posix.EnsureDirs(Mailboat::DirLayout(kUsers)).ok(), "setup failed");
   perennial::goose::World world;
   Mailboat mail(&world, &posix, Mailboat::Options{kUsers, 4096, 512, 42});
@@ -83,7 +91,7 @@ double RunMailboat(const std::string& root, int threads) {
 }
 
 double RunGoMail(const std::string& root, int threads, uint64_t overhead_ns) {
-  PosixFilesys posix(root, {.cache_dir_fds = false});
+  PosixFilesys posix(root, DirFdCache(false));
   PCC_ENSURE(posix.EnsureDirs(GoMail::DirLayout(kUsers)).ok(), "setup failed");
   GoMail mail(&posix, GoMail::Options{kUsers, 4096, 512, 42, overhead_ns});
   WorkloadOptions warmup{kUsers, kRequests / 4, kMsgLen, 7};

@@ -280,9 +280,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.Render().c_str());
 
   std::printf("== State-space pruning: before/after per pattern ==\n");
-  std::printf("(before = sleep-set POR and spec-prefix memoization both off; after = both\n");
-  std::printf(" on; workloads identical to the headline table. Verdicts must not change —\n");
-  std::printf(" the tier2-por equivalence suite enforces that.)\n\n");
+  std::printf("(before = sleep-set POR off; after = POR on; the post-crash continuation\n");
+  std::printf(" cache runs in both; workloads identical to the headline table. Verdicts\n");
+  std::printf(" must not change — the tier2-por equivalence suite enforces that.)\n\n");
   std::vector<perennial::benchjson::PorJsonRow> json_rows;
   {
     TextTable por({"Pattern", "execs off", "execs on", "reduction", "spec states on",
@@ -295,10 +295,8 @@ int main(int argc, char** argv) {
       ExplorerOptions opts;
       opts.max_crashes = sys.max_crashes;
       opts.use_por = false;
-      opts.memoize_spec_prefixes = false;
       RowResult off = sys.run(g_durable.Apply(opts, sys.slug + ".off"));
       opts.use_por = true;
-      opts.memoize_spec_prefixes = true;
       RowResult on = sys.run(g_durable.Apply(opts, sys.slug + ".on"));
       total_off_ms += off.ms;
       total_on_ms += on.ms;

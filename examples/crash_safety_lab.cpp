@@ -97,7 +97,7 @@ int main() {
     opts.max_crashes = 2;
     opts.num_workers = 4;
     opts.dedup_histories = true;  // skip re-checking repeated histories
-    opts.progress_interval = 2'000;
+    opts.progress_interval = 250;  // ~1,000 executions: a few progress lines
     opts.progress_callback = [](const refine::ExplorerProgress& p) {
       std::printf("  ... %llu executions, %llu steps, %llu violations so far\n",
                   static_cast<unsigned long long>(p.executions),

@@ -2,12 +2,13 @@
 //
 // Used by the refinement checker to fingerprint completed histories so that
 // executions with identical observable behavior are checked against the
-// spec only once per run (explorer.h), to key the prefix-frontier memo
-// (memo.h), and to deduplicate spec configurations inside the linearizer
-// (linearize.h). 128 bits keep the collision probability negligible even
-// for runs with millions of distinct histories; a collision could at worst
-// suppress one redundant spec check or merge two configurations, so the
-// fingerprint width is chosen to make that event practically impossible.
+// spec only once per run (explorer.h, memo.h), to key the post-crash
+// continuation cache (explorer.h), and to deduplicate spec configurations
+// inside the linearizer (linearize.h). 128 bits keep the collision
+// probability negligible even for runs with millions of distinct
+// histories; a collision could at worst suppress one redundant spec check
+// or merge two configurations, so the fingerprint width is chosen to make
+// that event practically impossible.
 //
 // Construction: two 64-bit lanes with independent keys. Each 8-byte word
 // is absorbed into each lane by one folded multiply (the 64x64->128

@@ -40,8 +40,8 @@ class Fsyncer {
   // dirty at the time — see netserv::GroupCommitter). OnDirty fires after a
   // successful write made `fd` dirty; OnClose fires when `fd` is being
   // closed (a fresh open of the same file starts clean). Default no-ops.
-  virtual void OnDirty(int fd) {}
-  virtual void OnClose(int fd) {}
+  virtual void OnDirty(int /*fd*/) {}
+  virtual void OnClose(int /*fd*/) {}
 };
 
 class PosixFilesys : public Filesys {

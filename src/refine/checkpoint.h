@@ -49,7 +49,9 @@ namespace perennial::refine {
 // v3: Reports carry crash_pruned.
 // v4: no engine byte (both engines write the same work list); random mode
 // writes sample slices like PCT.
-inline constexpr uint32_t kCheckpointVersion = 4;
+// v5: the exploration config fingerprint no longer mixes a spec-prefix
+// memoization bit (the option is gone).
+inline constexpr uint32_t kCheckpointVersion = 5;
 
 // One work item's durable state. Both engines use this struct directly as
 // their in-memory work list, so checkpointing is a snapshot of the list,

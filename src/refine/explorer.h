@@ -266,12 +266,6 @@ struct ExplorerOptions {
   // default comes from the PCC_POR CMake option.
   bool use_por = PCC_POR_DEFAULT != 0;
 
-  // Memoize spec-search frontiers per history PREFIX (linearize.h), shared
-  // across executions (and, under ParallelExplorer, workers). Off by
-  // default: it changes Report::spec_states_explored (work skipped via the
-  // cache is not re-counted), which several equivalence tests compare.
-  bool memoize_spec_prefixes = false;
-
   // Observability: invoked every progress_interval executions with the
   // counts this Run() has added so far, summed over its work items. Under
   // ParallelExplorer the callback fires on worker threads, one caller at a
@@ -296,8 +290,8 @@ struct ExplorerOptions {
   // RunItem a ParallelExplorer worker executes). 0 = none.
   uint64_t wall_deadline_ms = 0;
   // Budget for ACCOUNTED memory: the linearizer's retained arena plus the
-  // memo caches (which also get per-cache byte caps with whole-shard
-  // eviction, at max_memory_bytes / 4 each). Deliberately accounting-based
+  // verdict cache (which also gets a byte cap with whole-shard eviction, at
+  // max_memory_bytes / 4). Deliberately accounting-based
   // rather than RSS so the oom outcome is deterministic and testable; the
   // bench harness reports true peak RSS separately. 0 = none.
   uint64_t max_memory_bytes = 0;
@@ -701,7 +695,6 @@ inline uint64_t ExplorationConfigFp(const ExplorerOptions& options) {
   f.MixU64(options.swarm_vary_depth ? 1 : 0);
   f.MixU64(options.dedup_histories ? 1 : 0);
   f.MixU64(options.use_por ? 1 : 0);
-  f.MixU64(options.memoize_spec_prefixes ? 1 : 0);
   return f.digest().lo;
 }
 
@@ -841,15 +834,13 @@ class Explorer {
   using Op = typename Spec::Op;
   using Ret = typename Spec::Ret;
   using Factory = std::function<Instance<Spec>()>;
-  using FrontierCache = typename LinearizabilityChecker<Spec>::FrontierCache;
 
   Explorer(Spec spec, Factory factory, ExplorerOptions options)
       : spec_(std::move(spec)), factory_(std::move(factory)), options_(options) {}
 
   // Cache injection for ParallelExplorer (must outlive the Explorer; may be
-  // shared across threads). By default each Explorer owns private caches.
+  // shared across threads). By default each Explorer owns a private cache.
   void set_verdict_cache(VerdictCache* cache) { verdict_cache_ = cache; }
-  void set_frontier_cache(FrontierCache* cache) { frontier_cache_ = cache; }
 
   // Negative control for the continuation-cache soundness suite: also
   // cache continuations that added a violation. Unsound on purpose — a
@@ -976,9 +967,9 @@ class Explorer {
   RunOutcome stop_cause() const { return stop_cause_; }
 
   // Accounted retained memory: the linearizer arena plus the (possibly
-  // shared) memo caches. The max_memory_bytes comparison base.
+  // shared) verdict cache. The max_memory_bytes comparison base.
   size_t approx_memory_bytes() const {
-    return checker_.approx_retained_bytes() + verdict_cache_->bytes() + frontier_cache_->bytes();
+    return checker_.approx_retained_bytes() + verdict_cache_->bytes();
   }
 
   // Coordinator side of the parallel split: enumerates every reachable
@@ -1201,14 +1192,11 @@ class Explorer {
 
   // Whether executions may stop at their last crash on a continuation-
   // cache hit (DESIGN.md §9). Every mode gives each execution its own
-  // driver, so draws a stopped execution skips shift no later run. Prefix
-  // memoization makes a history's spec-state count depend on the cache, so
-  // a cached count would not match a re-run. Under a memory budget the
-  // verdict cache may evict the history a hit would have deduplicated
-  // against.
+  // driver, so draws a stopped execution skips shift no later run. Under a
+  // memory budget the verdict cache may evict the history a hit would have
+  // deduplicated against.
   bool CrashPruneActive() const {
-    return !options_.memoize_spec_prefixes &&
-           !(options_.dedup_histories && options_.max_memory_bytes > 0);
+    return !(options_.dedup_histories && options_.max_memory_bytes > 0);
   }
 
   // Renders a decision sequence as the human-readable trace of a
@@ -1247,12 +1235,11 @@ class Explorer {
       deadline_ = Clock::now() + std::chrono::milliseconds(options_.wall_deadline_ms);
     }
     if (options_.max_memory_bytes > 0) {
-      // Each memo cache gets a quarter of the budget with whole-shard
-      // eviction (memo.h); the linearizer arena takes what remains. The
-      // caps keep steady-state usage under the budget; the oom stop is the
+      // The verdict cache gets a quarter of the budget with whole-shard
+      // eviction (memo.h); the linearizer arena takes what remains. The cap
+      // keeps steady-state usage under the budget; the oom stop is the
       // backstop when the arena alone exceeds it.
       verdict_cache_->set_max_bytes(options_.max_memory_bytes / 4);
-      frontier_cache_->set_max_bytes(options_.max_memory_bytes / 4);
     }
   }
 
@@ -1777,7 +1764,6 @@ class Explorer {
 
     report->total_steps += steps;
     ++report->histories_checked;
-    checker_.set_frontier_cache(options_.memoize_spec_prefixes ? frontier_cache_ : nullptr);
     // Runs the persistent checker, resuming its retained frontier spine at
     // the deepest event this history provably shares with the spine's
     // source. After a Check the spine covers THIS history in full, so the
@@ -1836,11 +1822,9 @@ class Explorer {
   // Forced post-crash continuations already run by this engine.
   detail::ContinuationCache continuation_cache_;
   bool admit_violating_continuations_ = false;  // negative-control seam only
-  // Private default caches; ParallelExplorer injects shared ones.
+  // Private default cache; ParallelExplorer injects a shared one.
   VerdictCache own_verdicts_;
-  FrontierCache own_frontiers_;
   VerdictCache* verdict_cache_ = &own_verdicts_;
-  FrontierCache* frontier_cache_ = &own_frontiers_;
 
   // ---- Durable-run state ----
   bool durability_init_ = false;

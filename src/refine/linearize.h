@@ -26,8 +26,9 @@
 // chosen-but-unreturned responses, commit records), closed under "some
 // pending op linearizes now". A history is accepted iff the frontier after
 // the last event is non-empty (or UB was reached). Two properties make the
-// frontier a pure function of the PREFIX, which is what lets it be
-// memoized across histories (memo.h) and shared across explorer workers:
+// frontier a pure function of the PREFIX, which is what lets a later
+// history that shares the prefix resume the search from it (the spine
+// below):
 //
 //  * Every obligation is checked at the event that imposes it. In
 //    particular the helped-op obligation is enforced at the kHelped event
@@ -66,40 +67,34 @@
 // and contents, mail_spec.h). A pending op is named
 // by the index of its invocation event instead of a copy of its Op: a
 // frontier after events[0..i) names only events below i, and every history
-// that reaches that frontier — through the spine or the prefix memo —
-// shares those events.
+// that resumes from that frontier shares those events.
 //
 // Specs with an optional `Prepare(events)` hook (data-dependent
 // nondeterminism, e.g. Mailboat's message-id pool) read the WHOLE history
 // before stepping, and must be equality-comparable. A frontier is a pure
-// function of the event prefix AND the prepared spec, so the cross-history
-// spine below is resumed only when the newly prepared spec compares equal
-// to the one the spine was built with; otherwise the search restarts from
-// slot 0. The prefix memo cache stays off for them: its key is the event
-// prefix alone.
+// function of the event prefix AND the prepared spec, so the spine below
+// is resumed only when the newly prepared spec compares equal to the one
+// the spine was built with; otherwise the search restarts from slot 0.
 //
-// HOT PATH (PR 4): the checker owns a per-search ARENA that is reset, not
+// HOT PATH: the checker owns a per-search ARENA that is reset, not
 // freed, between histories. Frontiers live in a spine_ vector where
 // spine_[i] is the closed frontier after events[0..i); deriving a frontier
-// clears and refills the next slot in place, configs are deduplicated by
-// 128-bit fingerprints (seen_, a retained hash set) instead of serialized
-// string keys, and shared_ptr frontiers are materialized ONLY on the
-// memo-cache insert path. Check(history, reuse_events) additionally lets
-// the caller resume from a retained spine prefix: the explorer's DFS
-// odometer knows how many leading events the new history shares with the
-// previous one, so consecutive executions skip re-deriving the common
-// prefix entirely (no memo cache required). spine_states_[i] retains the
-// cumulative states_explored count a from-scratch run would have at slot i,
-// so resuming reports bit-identical spec_states_explored — which is what
-// keeps serial and parallel reports equal even though workers resume from
-// different depths.
+// clears and refills the next slot in place, and configs are deduplicated
+// by 128-bit fingerprints (seen_, a retained hash set) instead of
+// serialized string keys. Check(history, reuse_events) lets the caller
+// resume from a retained spine prefix: the explorer's DFS odometer knows
+// how many leading events the new history shares with the previous one, so
+// consecutive executions skip re-deriving the common prefix entirely.
+// spine_states_[i] retains the cumulative states_explored count a
+// from-scratch run would have at slot i, so resuming reports bit-identical
+// spec_states_explored — which is what keeps serial and parallel reports
+// equal even though workers resume from different depths.
 #ifndef PERENNIAL_SRC_REFINE_LINEARIZE_H_
 #define PERENNIAL_SRC_REFINE_LINEARIZE_H_
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -108,7 +103,6 @@
 
 #include "src/base/hash.h"
 #include "src/refine/history.h"
-#include "src/refine/memo.h"
 #include "src/tsys/transition.h"
 
 namespace perennial::refine {
@@ -162,7 +156,7 @@ struct SpecFrontier {
     // Invoked, not yet linearized, sorted by op id: (op id, index of the
     // op's kInvoke event). The Op is read from the history. A frontier
     // after events[0..i) names only events below i, and every history that
-    // reaches it (through the spine or the prefix memo) shares those.
+    // resumes from it through the spine shares those.
     std::vector<std::pair<uint64_t, size_t>> pending;
     // Linearized with a chosen return value, awaiting the response; sorted
     // by op id.
@@ -188,16 +182,9 @@ class LinearizabilityChecker {
   using Ret = typename Spec::Ret;
   using Hist = History<Spec>;
   using Frontier = SpecFrontier<Spec>;
-  using FrontierPtr = std::shared_ptr<const Frontier>;
-  using FrontierCache = ShardedMemo<FrontierPtr>;
 
   explicit LinearizabilityChecker(const Spec* spec)
       : spec_storage_(*spec), spec_(&spec_storage_), spine_spec_(*spec) {}
-
-  // Optional prefix-frontier memoization (ExplorerOptions::
-  // memoize_spec_prefixes); the cache may be shared across checkers and
-  // threads. Ignored for specs with a Prepare() hook — see header comment.
-  void set_frontier_cache(FrontierCache* cache) { cache_ = cache; }
 
   // nullopt when the history refines the spec; otherwise a description of
   // why no spec interleaving explains it.
@@ -225,38 +212,22 @@ class LinearizabilityChecker {
         return "helped event with no preceding crash";
       }
     }
-    bool cacheable = cache_ != nullptr;
     bool resumable = true;
     // Specs with data-dependent nondeterminism (e.g. Mailboat's random
     // message ids) pre-scan the history to bound their branch sets. Their
-    // frontiers depend on the prepared spec as well as the prefix: the
-    // spine is resumable only under an equal prepared spec, and the cache
-    // (keyed by the prefix alone) is never used.
+    // frontiers depend on the prepared spec as well as the prefix, so the
+    // spine is resumable only under an equal prepared spec.
     if constexpr (kPrepares) {
       static_assert(std::equality_comparable<Spec>,
                     "a spec with Prepare() must define operator==");
       spec_storage_.Prepare(events);
-      cacheable = false;
       resumable = spec_storage_ == spine_spec_;
     }
 
-    // Prefix fingerprints: fp_[i] covers events[0..i).
-    if (cacheable) {
-      fp_.clear();
-      fp_.reserve(events.size() + 1);
-      Hasher128 f;
-      fp_.push_back(f.digest());
-      for (const auto& e : events) {
-        MixEvent<Spec>(&f, e);
-        fp_.push_back(f.digest());
-      }
-    }
-
-    // Pick the resume point: the deepest spine frontier within the BOTH
-    // shared AND contiguously-valid prefix (spine_ok_ — a memo-cache hit
-    // can leave a hole of stale slots below it, see below), or slot 0
-    // (built on first use, and whenever a Prepare spec's prepared data
-    // changed — Initial may observe it).
+    // Pick the resume point: the deepest spine frontier within the shared
+    // prefix that the last Check left valid (spine_ok_), or slot 0 (built
+    // on first use, and whenever a Prepare spec's prepared data changed —
+    // Initial may observe it).
     size_t resume = 0;
     if (resumable && spine_ok_ > 0) {
       resume = std::min(std::min(reuse_events, spine_ok_ - 1), events.size());
@@ -269,36 +240,13 @@ class LinearizabilityChecker {
       spine_states_[0] = 0;
       spine_ok_ = 1;
     }
-    const size_t pre_hit_resume = resume;
     resumed_events_ = resume;
-    // A cached prefix deeper than the spine wins. The hit is used BY
-    // POINTER (never copied into the spine — gc-sized frontiers make that
-    // copy the dominant cost); the slot it logically occupies stays stale,
-    // which the spine_ok_ update below accounts for. Cache-resumed work is
-    // not re-counted (the documented memoize_spec_prefixes semantics), so
-    // the cumulative counts restart at zero there.
-    FrontierPtr hit;
-    size_t hit_at = static_cast<size_t>(-1);
-    if (cacheable) {
-      for (size_t i = events.size() + 1; i-- > resume + 1;) {
-        if (cache_->Lookup(fp_[i], &hit)) {
-          hit_at = i;
-          resume = i;
-          break;
-        }
-      }
-      if (!cache_->Contains(fp_[0])) {
-        cache_->Insert(fp_[0], std::make_shared<Frontier>(spine_[0]),
-                       FrontierEntryBytes(spine_[0]));
-      }
-    }
-
-    states_explored_ = hit_at == static_cast<size_t>(-1) ? spine_states_[resume] : 0;
+    states_explored_ = spine_states_[resume];
     size_t idx = resume;
     while (idx < events.size()) {
       // Resize BEFORE binding cur: EnsureSlot may reallocate the spine.
       EnsureSlot(idx + 1);
-      const Frontier& cur = idx == hit_at ? *hit : spine_[idx];
+      const Frontier& cur = spine_[idx];
       if (cur.undefined) {
         break;  // spec UB: no further obligations
       }
@@ -308,18 +256,10 @@ class LinearizabilityChecker {
       DeriveNext(cur, events, idx, &spine_[idx + 1]);
       spine_states_[idx + 1] = states_explored_;
       ++idx;
-      if (cacheable && !cache_->Contains(fp_[idx])) {
-        cache_->Insert(fp_[idx], std::make_shared<Frontier>(spine_[idx]),
-                       FrontierEntryBytes(spine_[idx]));
-      }
     }
-    // The next Check may only resume from slots that hold THIS history's
-    // frontiers contiguously from slot 0. A cache hit deeper than the
-    // resume point leaves slots (pre_hit_resume, resume] stale (the hit
-    // itself was never written into the spine), so contiguous validity
-    // stops at the pre-hit resume point.
-    spine_ok_ = hit_at == static_cast<size_t>(-1) ? idx + 1 : pre_hit_resume + 1;
-    const Frontier& fin = idx == hit_at ? *hit : spine_[idx];
+    // The next Check may resume from any slot this history derived.
+    spine_ok_ = idx + 1;
+    const Frontier& fin = spine_[idx];
     if (fin.undefined || !fin.configs.empty()) {
       // Leftover pending ops simply never happened; every response (and
       // every helped-op obligation) was explained.
@@ -368,21 +308,11 @@ class LinearizabilityChecker {
     }
     b += spine_states_.capacity() * sizeof(uint64_t);
     b += seen_.bucket_count() * (sizeof(Hash128) + sizeof(void*));
-    b += fp_.capacity() * sizeof(Hash128);
     return b;
   }
 
  private:
   using Config = typename Frontier::Config;
-
-  // Byte estimate for one cached frontier — deterministic in the frontier's
-  // CONTENT (config count, never vector capacity) so insert-time accounting
-  // replays identically across interrupted and uninterrupted runs. Each
-  // config's heap parts count as the same flat constant as above.
-  static size_t FrontierEntryBytes(const Frontier& f) {
-    return sizeof(Hash128) + sizeof(FrontierPtr) + sizeof(Frontier) + 48 +
-           f.configs.size() * (sizeof(Config) + 64);
-  }
 
   struct Hash128Hasher {
     size_t operator()(const Hash128& h) const { return static_cast<size_t>(h.lo); }
@@ -561,17 +491,15 @@ class LinearizabilityChecker {
   // Prepare specs only: the prepared spec spine_ was built with. A Check
   // whose prepared spec differs rebuilds the spine from slot 0.
   Spec spine_spec_;
-  FrontierCache* cache_ = nullptr;
   uint64_t states_explored_ = 0;
   size_t resumed_events_ = 0;
   // --- Per-search arena: reset between histories, never freed ---
   std::vector<Frontier> spine_;          // spine_[i]: frontier after events[0..i)
   std::vector<uint64_t> spine_states_;   // cumulative states count at spine_[i]
-  // Slots [0, spine_ok_) hold the LAST-CHECKED history's frontiers with no
-  // stale holes; only these are eligible resume points for the next Check.
+  // Slots [0, spine_ok_) hold the LAST-CHECKED history's frontiers; only
+  // these are eligible resume points for the next Check.
   size_t spine_ok_ = 0;
   std::unordered_set<Hash128, Hash128Hasher> seen_;  // per-event config dedup
-  std::vector<Hash128> fp_;              // prefix fingerprints (cacheable runs)
 };
 
 }  // namespace perennial::refine

@@ -1,24 +1,15 @@
-// Memoization caches for the refinement checker.
+// The verdict cache of the refinement checker.
 //
-// Two artifacts of a refinement run are pure functions of a history (or a
-// history prefix) and can therefore be computed once and reused:
+// The linearizability VERDICT of a complete history depends only on the
+// history's events (the check replays the spec against them). Its 128-bit
+// fingerprint (FingerprintHistory) keys a verdict cache shared across every
+// execution of a run — and, under ParallelExplorer, across worker threads:
+// whichever worker checks a history first publishes the verdict, and
+// duplicates replay it instead of re-running the search. (Sibling histories
+// that only share a PREFIX resume the spec search through the linearizer's
+// own spine instead, linearize.h.)
 //
-//   * The linearizability VERDICT of a complete history depends only on the
-//     history's events (the check replays the spec against them). The
-//     128-bit fingerprint (FingerprintHistory) keys a verdict cache shared
-//     across every execution of a run — and, under ParallelExplorer, across
-//     worker threads: whichever worker checks a history first publishes the
-//     verdict, and duplicates replay it instead of re-running the search.
-//
-//   * The FRONTIER of spec configurations reachable after consuming a
-//     history PREFIX depends only on that prefix (linearize.h maintains the
-//     invariant that every per-config obligation is checked at the event
-//     that imposes it, never by looking ahead). Prefix fingerprints key a
-//     frontier cache, so sibling histories that share a prefix — the common
-//     case under DFS exploration, where one decision flips near the leaves —
-//     resume the spec search mid-way instead of from the initial state.
-//
-// Both caches are sharded maps under per-shard mutexes: lock hold times are
+// The cache is a sharded map under per-shard mutexes: lock hold times are
 // a lookup or an insert, and 16 shards keep worker collisions negligible at
 // the scale of this repo's benches. Memory is bounded two ways: a per-shard
 // entry cap (inserts past it are dropped), and — when the durable-run
@@ -43,10 +34,8 @@
 namespace perennial::refine {
 
 // Mixes one history event into a streaming fingerprint. Factored out of
-// FingerprintHistory so prefix fingerprints can be built incrementally: the
-// fingerprint of events[0..i) is a pure fold of MixEvent over the prefix,
-// and Hasher128 is copyable, so each prefix digest costs O(1) on top of the
-// previous one.
+// FingerprintHistory so other keys can fold a history in too (the
+// explorer's post-crash continuation key mixes the history so far).
 template <typename Spec>
 void MixEvent(Hasher128* f, const typename History<Spec>::Event& e) {
   f->MixU64(static_cast<uint64_t>(e.kind));
@@ -81,8 +70,8 @@ Hash128 FingerprintHistory(const History<Spec>& history) {
 }
 
 // Thread-safe fingerprint-keyed map. V must be copyable (lookups copy the
-// value out under the shard lock; cached values are shared_ptrs or small
-// optionals in practice).
+// value out under the shard lock; cached values are small optionals in
+// practice).
 template <typename V>
 class ShardedMemo {
  public:
@@ -92,15 +81,6 @@ class ShardedMemo {
       : cap_(max_entries_per_shard) {}
   ShardedMemo(const ShardedMemo&) = delete;
   ShardedMemo& operator=(const ShardedMemo&) = delete;
-
-  // Presence test without copying the value out. Used to skip building a
-  // value that would lose the first-insert-wins race anyway (the frontier
-  // cache only heap-allocates a shared frontier for genuinely new prefixes).
-  bool Contains(const Hash128& fp) const {
-    const Shard& s = shards_[ShardOf(fp)];
-    std::scoped_lock lock(s.mu);
-    return s.entries.find(fp) != s.entries.end();
-  }
 
   bool Lookup(const Hash128& fp, V* out) const {
     const Shard& s = shards_[ShardOf(fp)];

@@ -107,7 +107,6 @@ MinimizeResult MinimizeSchedule(const Spec& spec,
   ExplorerOptions opts = options;
   opts.max_violations = 1;
   opts.dedup_histories = false;
-  opts.memoize_spec_prefixes = false;
   opts.progress_callback = nullptr;
   opts.wall_deadline_ms = 0;
   opts.max_memory_bytes = 0;

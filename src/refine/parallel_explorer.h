@@ -19,10 +19,10 @@
 //      runs each with Explorer::RunItem. This is safe precisely because
 //      Instance factories are required to be deterministic: replaying a
 //      prefix, or reseeding a run, reconstructs the same execution on any
-//      thread. The verdict and spec-frontier caches (memo.h) are the
-//      exception: they are shared across workers, which is sound because
-//      cached values are pure functions of their fingerprints — sharing
-//      only changes WHO pays for a check, never its outcome.
+//      thread. The verdict cache (memo.h) is the exception: it is shared
+//      across workers, which is sound because a cached verdict is a pure
+//      function of its history fingerprint — sharing only changes WHO pays
+//      for a check, never its outcome.
 //   3. The merge. Per-item Reports are merged in list order, so the
 //      aggregate is deterministic regardless of thread timing: executions,
 //      steps, crash counts, and the violation *sequence* are bit-identical
@@ -98,13 +98,12 @@ class ParallelExplorer {
     const bool deadline_armed = options_.wall_deadline_ms > 0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(options_.wall_deadline_ms);
-    // Caches shared across the probe and every worker: a history (or history
-    // prefix) checked by one thread is a cache hit for all. Verdicts and
-    // frontiers are pure functions of their fingerprint, so cross-thread
-    // sharing cannot change any verdict — only Report::histories_deduped
-    // becomes timing-dependent (which worker reaches a fingerprint first).
+    // The verdict cache shared across the probe and every worker: a history
+    // checked by one thread is a cache hit for all. Verdicts are pure
+    // functions of their fingerprint, so cross-thread sharing cannot change
+    // any verdict — only Report::histories_deduped becomes timing-dependent
+    // (which worker reaches a fingerprint first).
     VerdictCache shared_verdicts;
-    typename Explorer<Spec>::FrontierCache shared_frontiers;
 
     // The work list: resumed from the checkpoint file when possible,
     // otherwise built from the mode's item source.
@@ -115,7 +114,6 @@ class ParallelExplorer {
       Explorer<Spec> source(spec_, factory_, ProbeOptions());
       if (dfs) {
         source.set_verdict_cache(&shared_verdicts);
-        source.set_frontier_cache(&shared_frontiers);
         // Clamp like num_workers: a non-positive depth degenerates to one
         // subtree (the whole tree) rather than tripping the probe's
         // precondition.
@@ -158,7 +156,6 @@ class ParallelExplorer {
     auto worker_main = [&](int w) {
       Explorer<Spec> engine(spec_, factory_, WorkerOptions());
       engine.set_verdict_cache(&shared_verdicts);
-      engine.set_frontier_cache(&shared_frontiers);
       while (!StopRequested() && !budget_exhausted.load(std::memory_order_relaxed)) {
         const size_t i = next_item.fetch_add(1, std::memory_order_relaxed);
         if (i >= items.size()) {

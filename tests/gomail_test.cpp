@@ -136,11 +136,18 @@ class WorkloadTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
 
+  // Options choosing only the directory-fd cache; the rest default.
+  static goosefs::PosixFilesys::Options DirFdCache(bool on) {
+    goosefs::PosixFilesys::Options options;
+    options.cache_dir_fds = on;
+    return options;
+  }
+
   std::string root_;
 };
 
 TEST_F(WorkloadTest, MailboatCompletesAllRequests) {
-  goosefs::PosixFilesys fs(root_, {.cache_dir_fds = true});
+  goosefs::PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs(Mailboat::DirLayout(4)).ok());
   goose::World world;
   Mailboat mail(&world, &fs, Mailboat::Options{4, 4096, 512, 7});
@@ -157,7 +164,7 @@ TEST_F(WorkloadTest, MailboatCompletesAllRequests) {
 }
 
 TEST_F(WorkloadTest, GoMailCompletesAllRequests) {
-  goosefs::PosixFilesys fs(root_, {.cache_dir_fds = false});
+  goosefs::PosixFilesys fs(root_, DirFdCache(false));
   ASSERT_TRUE(fs.EnsureDirs(GoMail::DirLayout(4)).ok());
   GoMail mail(&fs, GoMail::Options{4, 4096, 512, 9, 0});
   WorkloadOptions options;
@@ -169,7 +176,7 @@ TEST_F(WorkloadTest, GoMailCompletesAllRequests) {
 }
 
 TEST_F(WorkloadTest, SingleThreadDeterministicCounts) {
-  goosefs::PosixFilesys fs(root_, {.cache_dir_fds = true});
+  goosefs::PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs(Mailboat::DirLayout(2)).ok());
   goose::World world;
   Mailboat mail(&world, &fs, Mailboat::Options{2, 4096, 512, 7});

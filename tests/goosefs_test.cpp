@@ -352,11 +352,18 @@ class PosixFsTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
 
+  // Options choosing only the directory-fd cache; the rest default.
+  static PosixFilesys::Options DirFdCache(bool on) {
+    PosixFilesys::Options options;
+    options.cache_dir_fds = on;
+    return options;
+  }
+
   std::string root_;
 };
 
 TEST_F(PosixFsTest, CreateAppendReadRoundTrips) {
-  PosixFilesys fs(root_, {.cache_dir_fds = true});
+  PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs({"spool", "user0"}).ok());
   auto body = [&]() -> Task<std::string> {
     Fd wfd = (co_await fs.Create("user0", "m")).value();
@@ -371,7 +378,7 @@ TEST_F(PosixFsTest, CreateAppendReadRoundTrips) {
 }
 
 TEST_F(PosixFsTest, UncachedModeWorksToo) {
-  PosixFilesys fs(root_, {.cache_dir_fds = false});
+  PosixFilesys fs(root_, DirFdCache(false));
   ASSERT_TRUE(fs.EnsureDirs({"user0"}).ok());
   auto body = [&]() -> Task<std::string> {
     Fd wfd = (co_await fs.Create("user0", "m")).value();
@@ -386,7 +393,7 @@ TEST_F(PosixFsTest, UncachedModeWorksToo) {
 }
 
 TEST_F(PosixFsTest, ExclusiveCreateAndLinkSemanticsMatchModel) {
-  PosixFilesys fs(root_, {.cache_dir_fds = true});
+  PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs({"spool", "user0"}).ok());
   auto body = [&]() -> Task<int> {
     Fd fd = (co_await fs.Create("spool", "t")).value();
@@ -414,7 +421,7 @@ TEST_F(PosixFsTest, ExclusiveCreateAndLinkSemanticsMatchModel) {
 }
 
 TEST_F(PosixFsTest, ListsSorted) {
-  PosixFilesys fs(root_, {.cache_dir_fds = true});
+  PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs({"user0"}).ok());
   auto body = [&]() -> Task<std::vector<std::string>> {
     for (const char* name : {"c", "a", "b"}) {
@@ -430,14 +437,14 @@ TEST_F(PosixFsTest, EnsureDirsIdempotentAcrossRecoveredRuns) {
   // A recovered run re-creates the layout with clear_contents=false: the
   // directories already exist and the surviving files must be kept for
   // recovery to inspect, not wiped.
-  PosixFilesys fs(root_, {.cache_dir_fds = true});
+  PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs({"spool", "user0"}, /*clear_contents=*/false).ok());
   auto create = [&]() -> Task<void> {
     Fd fd = (co_await fs.Create("user0", "survivor")).value();
     (void)co_await fs.Close(fd);
   };
   proc::RunSyncVoid(create());
-  PosixFilesys fs2(root_, {.cache_dir_fds = true});
+  PosixFilesys fs2(root_, DirFdCache(true));
   ASSERT_TRUE(fs2.EnsureDirs({"spool", "user0"}, /*clear_contents=*/false).ok());
   auto list = [&]() -> Task<std::vector<std::string>> {
     co_return (co_await fs2.List("user0")).value();
@@ -450,12 +457,12 @@ TEST_F(PosixFsTest, EnsureDirsPropagatesClearError) {
   // (opendir ENOTDIR); EnsureDirs must surface that instead of papering
   // over it and letting the caller run on a broken layout.
   std::ofstream(root_ + "/user0") << "not a directory";
-  PosixFilesys fs(root_, {.cache_dir_fds = false});
+  PosixFilesys fs(root_, DirFdCache(false));
   EXPECT_FALSE(fs.EnsureDirs({"user0"}, /*clear_contents=*/true).ok());
 }
 
 TEST_F(PosixFsTest, ClearDirFailsOnMissingDir) {
-  PosixFilesys fs(root_, {.cache_dir_fds = false});
+  PosixFilesys fs(root_, DirFdCache(false));
   EXPECT_FALSE(fs.ClearDir("nope").ok());
 }
 
@@ -502,14 +509,14 @@ TEST_F(PosixFsTest, DirsyncHookFiresOnlyWhenFsyncDirsIsOn) {
 }
 
 TEST_F(PosixFsTest, EnsureDirsClearsLeftovers) {
-  PosixFilesys fs(root_, {.cache_dir_fds = true});
+  PosixFilesys fs(root_, DirFdCache(true));
   ASSERT_TRUE(fs.EnsureDirs({"user0"}).ok());
   auto create = [&]() -> Task<void> {
     Fd fd = (co_await fs.Create("user0", "old")).value();
     (void)co_await fs.Close(fd);
   };
   proc::RunSyncVoid(create());
-  PosixFilesys fs2(root_, {.cache_dir_fds = true});
+  PosixFilesys fs2(root_, DirFdCache(true));
   ASSERT_TRUE(fs2.EnsureDirs({"user0"}).ok());
   auto list = [&]() -> Task<std::vector<std::string>> {
     co_return (co_await fs2.List("user0")).value();

@@ -89,7 +89,6 @@ TEST(LineBufferTest, EmptyLines) {
 
 TEST(LineBufferTest, PipelinedBatchSpansBufferGrowth) {
   LineBuffer lb;
-  bool overlong = false;
   // Far past the 4 KiB initial allocation in one burst: growth happens
   // mid-batch while earlier lines are still queued (growth is deferred to
   // idle moments, so drain interleaves with feeding).

@@ -15,12 +15,12 @@
 //   * POR composes with the other knobs: the preemption-bound x dedup x
 //     POR matrix is verdict-invariant (POR self-disables under bounding),
 //     serial and ParallelExplorer agree field-for-field with POR on, and
-//     spec-prefix memoization changes no verdict;
+//     a byte-capped verdict cache changes no verdict;
 //   * the progress callback observes post-dedup counts monotonically.
 //
 // Like tier2-parallel/tier2-faults, this suite is also meant to run under
-// -DPCC_SANITIZE=thread: the shared verdict/frontier caches are the new
-// cross-worker state.
+// -DPCC_SANITIZE=thread: the shared verdict cache is the cross-worker
+// state.
 #include <string>
 #include <vector>
 
@@ -587,79 +587,30 @@ TEST(PorParallel, SerialAndParallelAgreeWithPorOn) {
   }
 }
 
-TEST(PorMemo, SpecPrefixMemoizationChangesNoVerdict) {
-  auto check = [](auto spec, auto factory, bool expect_bug) {
-    ExplorerOptions opts;
-    opts.max_crashes = 1;
-    opts.max_violations = 1;
-    ExplorerOptions plain = opts;
-    plain.memoize_spec_prefixes = false;
-    ExplorerOptions memo = opts;
-    memo.memoize_spec_prefixes = true;
-    using Spec = decltype(spec);
-    Report p = Explorer<Spec>(spec, factory, plain).Run();
-    Report m = Explorer<Spec>(spec, factory, memo).Run();
-    // Memoization only short-circuits the spec search: the exploration
-    // itself is untouched, so executions match exactly; resumed searches
-    // skip already-counted states, so the memoized count never exceeds.
-    EXPECT_EQ(m.executions, p.executions);
-    EXPECT_LE(m.spec_states_explored, p.spec_states_explored);
-    EXPECT_EQ(m.ok(), p.ok());
-    EXPECT_EQ(m.ok(), !expect_bug);
-    ExpectSameViolations(m, p);
-  };
-  {
-    ReplHarnessOptions options;
-    options.num_blocks = 1;
-    options.client_ops = {{ReplSpec::MakeWrite(0, 5)}, {ReplSpec::MakeWrite(0, 7)}};
-    check(ReplSpec{1}, [&] { return MakeReplInstance(options); }, /*expect_bug=*/false);
-  }
-  {
-    WalHarnessOptions options;
-    options.client_ops = {{PairSpec::MakeWrite(1, 2), PairSpec::MakeWrite(3, 4)}};
-    options.mutations.apply_before_commit = true;
-    check(PairSpec{}, [&] { return MakeWalInstance(options); }, /*expect_bug=*/true);
-  }
-  {
-    // Group commit: deep histories whose shared prefixes interleave memo
-    // cache hits with spine resume. Regression for a stale-spine bug: a
-    // cache hit deeper than the resume point used to leave a hole of
-    // previous-history frontiers that a later resume could land in.
-    GcHarnessOptions options;
-    options.client_ops = {{GcSpec::MakeWrite(1)}, {GcSpec::MakeWrite(2)}, {GcSpec::MakeFlush()}};
-    check(GcSpec{}, [&] { return MakeGcInstance(options); }, /*expect_bug=*/false);
-  }
-}
-
 TEST(PorMemo, ByteCappedCachesChangeNoVerdict) {
-  // Whole-shard eviction under a byte cap may only convert cache hits into
-  // misses: executions, histories checked, and every verdict are unchanged;
-  // only the dedup/memo hit rates may drop. The accounted total must never
-  // exceed the cap (Insert drops the entry rather than overshooting), which
-  // is what keeps checkpoint restore eviction-free and deterministic.
+  // Whole-shard eviction under a byte cap may only convert verdict-cache
+  // hits into misses: executions, histories checked, and every verdict are
+  // unchanged; only the dedup hit rate may drop. The accounted total must
+  // never exceed the cap (Insert drops the entry rather than overshooting),
+  // which is what keeps checkpoint restore eviction-free and deterministic.
   GcHarnessOptions options;
   options.client_ops = {{GcSpec::MakeWrite(1)}, {GcSpec::MakeWrite(2)}, {GcSpec::MakeFlush()}};
   ExplorerOptions opts;
   opts.max_crashes = 1;
   opts.max_violations = 1 << 20;
   opts.dedup_histories = true;
-  opts.memoize_spec_prefixes = true;
   Report baseline = Explorer<GcSpec>(GcSpec{}, [&] { return MakeGcInstance(options); }, opts).Run();
   ASSERT_GT(baseline.histories_deduped, 0u);
 
   constexpr size_t kCap = 2048;
   refine::VerdictCache verdicts;
-  Explorer<GcSpec>::FrontierCache frontiers;
   verdicts.set_max_bytes(kCap);
-  frontiers.set_max_bytes(kCap);
   Explorer<GcSpec> capped(GcSpec{}, [&] { return MakeGcInstance(options); }, opts);
   capped.set_verdict_cache(&verdicts);
-  capped.set_frontier_cache(&frontiers);
   Report r = capped.Run();
 
   EXPECT_GT(verdicts.evictions(), 0u);
   EXPECT_LE(verdicts.bytes(), kCap);
-  EXPECT_LE(frontiers.bytes(), kCap);
   EXPECT_EQ(r.executions, baseline.executions);
   EXPECT_EQ(r.total_steps, baseline.total_steps);
   EXPECT_EQ(r.crashes_injected, baseline.crashes_injected);
