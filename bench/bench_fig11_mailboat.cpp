@@ -149,6 +149,7 @@ struct ScaleResult {
   uint64_t batches = 0;
   uint64_t fsyncs = 0;
   uint64_t deduped = 0;
+  uint64_t barrier_ns = 0;  // wall time the committer spent in barriers
   double rps = 0;
   uint64_t p50_us = 0;
   uint64_t p99_us = 0;
@@ -190,7 +191,8 @@ ScaleResult RunScaleCellOnce(const ScaleConfig& sc) {
   config.users = 64;
   config.group_commit = sc.group_commit;
   // Wide window, adaptive early close (GroupCommitter quiet_us): the
-  // committer holds the batch only while requests keep arriving, so the
+  // committer holds the batch only while requests keep arriving, and not
+  // at all while its barriers average under a quiet slice (tmpfs), so the
   // window is a cap on batch accumulation, not a per-barrier sleep.
   config.gc_window_us = 2000;
   config.gc_batch = 256;
@@ -245,6 +247,7 @@ ScaleResult RunScaleCellOnce(const ScaleConfig& sc) {
   r.batches = stats.batches.load();
   r.fsyncs = stats.fsyncs_issued.load();
   r.deduped = stats.deduped.load();
+  r.barrier_ns = stats.barrier_ns.load();
   if (server.faults() != nullptr) {
     r.injected = server.faults()->total_injected();
   }
@@ -292,6 +295,12 @@ std::pair<ScaleResult, ScaleResult> RunScalePair(ScaleConfig sc, int trials = 3)
     }
   }
   return {best_gc, best_nogc};
+}
+
+// Mean wall time of one committer barrier in the cell, in microseconds.
+double MeanBarrierUs(const ScaleResult& r) {
+  return r.batches > 0 ? static_cast<double>(r.barrier_ns) / 1e3 / static_cast<double>(r.batches)
+                       : 0.0;
 }
 
 // fig11s-/faultnet- row: executions=acked requests, deduped=fd-dedup count,
@@ -400,7 +409,7 @@ int RunAtScale(int argc, char** argv) {
   // Client sweep, group commit on vs off (off = one fsync per durability
   // point, the classical configuration).
   TextTable table({"clients", "gc", "req/s", "p50 us", "p99 us", "batches", "fsyncs",
-                   "deduped", "errors"});
+                   "deduped", "barrier us", "errors"});
   double best_rps = 0;
   uint64_t best_clients = 0;
   std::string speedups;
@@ -416,7 +425,8 @@ int RunAtScale(int argc, char** argv) {
       table.AddRow({std::to_string(clients), gc ? "on" : "off",
                     WithCommas(static_cast<uint64_t>(r.rps)), WithCommas(r.p50_us),
                     WithCommas(r.p99_us), WithCommas(r.batches), WithCommas(r.fsyncs),
-                    WithCommas(r.deduped), std::to_string(r.load.errors)});
+                    WithCommas(r.deduped), gc ? FixedDigits(MeanBarrierUs(r), 1) : "-",
+                    std::to_string(r.load.errors)});
       std::string slug = "fig11s-c" + std::to_string(clients) + (gc ? "-gc" : "-nogc");
       rows.push_back(RenderScaleRow(slug, r));
       if (gc && r.rps > best_rps) {
@@ -475,6 +485,10 @@ int RunAtScale(int argc, char** argv) {
                 "cpu %.1f us/req\n",
                 WithCommas(static_cast<uint64_t>(r.rps)).c_str(),
                 WithCommas(r.p99_us).c_str(), r.cpu_us_per_request);
+    std::printf("group_commit: batches=%llu fsyncs=%llu deduped=%llu barrier_us=%.1f\n",
+                static_cast<unsigned long long>(r.batches),
+                static_cast<unsigned long long>(r.fsyncs),
+                static_cast<unsigned long long>(r.deduped), MeanBarrierUs(r));
     print_stages("check cell", r);
     if (trace_path != nullptr) {
       if (trace.WriteJson(trace_path)) {

@@ -6,8 +6,18 @@
 //   bench_loadgen --clients=64 --requests=2000 --root=/tmp/pcc-loadgen
 //   bench_loadgen --smtp-port=2525 --pop3-port=1110 --clients=256
 //
-// Prints one summary line: requests, errors, wall, req/s, p50/p99 latency,
-// and (in-proc only) the group-commit batch/dedup counters.
+// Prints one summary line: requests, errors, wall, req/s, p50/p99 latency;
+// then CPU per request (in-proc: split into the server's and the load
+// generator's share) and (in-proc only) the group-commit counters with the
+// mean barrier time, both over the timed window only.
+//
+// --corpus=N prefills every mailbox with N messages through Mailboat (and
+// so through the group committer) before the timed window, one delivery at
+// a time, and reports how long that took:
+//
+//   bench_loadgen --clients=4 --pickup-fraction=1 --corpus=400 --requests=400
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,8 +25,10 @@
 
 #include "bench/bench_json.h"
 #include "src/fault/syscall_fault.h"
+#include "src/goosefs/filesys.h"
 #include "src/netserv/harness.h"
 #include "src/netserv/loadgen.h"
+#include "src/proc/task.h"
 
 namespace {
 
@@ -71,10 +83,13 @@ int main(int argc, char** argv) {
     std::printf(
         "usage: bench_loadgen [--clients=N] [--requests=N] [--users=N]\n"
         "                     [--pickup-fraction=F] [--body-bytes=N] [--rcpts=N] [--threads=N]\n"
-        "                     [--root=DIR] [--loops=N] [--executors=N]\n"
+        "                     [--root=DIR] [--loops=N] [--executors=N] [--corpus=N]\n"
         "                     [--no-group-commit] [--gc-window-us=N] [--gc-batch=N]\n"
         "                     [--fault-plan=key=rate,...]  (hostile disk, in-proc only)\n"
-        "                     [--smtp-port=N --pop3-port=N]  (drive external server)\n");
+        "                     [--smtp-port=N --pop3-port=N]  (drive external server)\n"
+        "--gc-window-us caps the group-commit window (default 500); batches do not wait\n"
+        "at all while barriers average under 50 us. --corpus=N prefills N messages per\n"
+        "mailbox through Mailboat before the timed window (in-proc only).\n");
     return 0;
   }
 
@@ -91,6 +106,12 @@ int main(int argc, char** argv) {
   uint16_t ext_smtp = static_cast<uint16_t>(FlagU64(argc, argv, "--smtp-port", 0));
   uint16_t ext_pop3 = static_cast<uint16_t>(FlagU64(argc, argv, "--pop3-port", 0));
   bool inproc = ext_smtp == 0 || ext_pop3 == 0;
+
+  const uint64_t corpus = FlagU64(argc, argv, "--corpus", 0);
+  if (corpus > 0 && !inproc) {
+    std::fprintf(stderr, "bench_loadgen: --corpus needs the in-proc server\n");
+    return 1;
+  }
 
   std::unique_ptr<InprocMailServer> server;
   if (inproc) {
@@ -120,11 +141,47 @@ int main(int argc, char** argv) {
     }
     load.smtp_port = server->smtp_port();
     load.pop3_port = server->pop3_port();
+    if (corpus > 0) {
+      auto t0 = std::chrono::steady_clock::now();
+      for (uint64_t user = 0; user < load.num_users; ++user) {
+        for (uint64_t k = 0; k < corpus; ++k) {
+          std::string line = "corpus-u" + std::to_string(user) + "-k" + std::to_string(k) + "-";
+          line.resize(std::max<size_t>(line.size(), load.body_bytes), 'x');
+          auto id = perennial::proc::RunSync(
+              server->mail()->Deliver(user, perennial::goosefs::BytesOfString(line + "\r\n")));
+          if (!id.ok()) {
+            std::fprintf(stderr, "bench_loadgen: corpus delivery failed: %s\n",
+                         id.status().ToString().c_str());
+            return 1;
+          }
+        }
+      }
+      double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                      .count();
+      std::printf("corpus: %llu messages in %.1f ms (%.1f us each)\n",
+                  static_cast<unsigned long long>(corpus * load.num_users), ms,
+                  ms * 1000.0 / static_cast<double>(corpus * load.num_users));
+    }
   } else {
     load.smtp_port = ext_smtp;
     load.pop3_port = ext_pop3;
   }
 
+  // Committer counters at the start of the timed window (set-up and the
+  // corpus went through the committer too).
+  struct GcSnap {
+    uint64_t requests = 0, batches = 0, fsyncs = 0, deduped = 0, barrier_ns = 0;
+  };
+  auto gc_snap = [&] {
+    GcSnap g;
+    if (server != nullptr) {
+      const auto& stats = server->committer()->stats();
+      g = {stats.requests.load(), stats.batches.load(), stats.fsyncs_issued.load(),
+           stats.deduped.load(), stats.barrier_ns.load()};
+    }
+    return g;
+  };
+  const GcSnap gc0 = gc_snap();
   perennial::benchjson::CpuUsage cpu0 = perennial::benchjson::ProcessCpuUsage();
   LoadgenResult result = RunLoadgen(load);
   perennial::benchjson::CpuUsage cpu1 = perennial::benchjson::ProcessCpuUsage();
@@ -145,22 +202,33 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(PercentileUs(result.latencies_us, 99)),
       result.aborted ? " ABORTED" : "");
   if (result.ok_requests > 0) {
-    // Process CPU (loadgen clients included for the in-proc server): the
-    // stable per-request cost on a host whose wall clock is disk-noisy.
+    // Process CPU: the stable per-request cost on a host whose wall clock
+    // is disk-noisy. With the in-proc server it includes the load
+    // generator's driver threads, whose own CPU is then split out.
+    const double reqs = static_cast<double>(result.ok_requests);
     uint64_t du = cpu1.utime_us - cpu0.utime_us;
     uint64_t ds = cpu1.stime_us - cpu0.stime_us;
-    std::printf("cpu: %.1f us/req (utime %.1f + stime %.1f)\n",
-                static_cast<double>(du + ds) / static_cast<double>(result.ok_requests),
-                static_cast<double>(du) / static_cast<double>(result.ok_requests),
-                static_cast<double>(ds) / static_cast<double>(result.ok_requests));
+    std::printf("cpu: %.1f us/req (utime %.1f + stime %.1f)", static_cast<double>(du + ds) / reqs,
+                static_cast<double>(du) / reqs, static_cast<double>(ds) / reqs);
+    if (server != nullptr) {
+      uint64_t client = std::min(result.client_cpu_us, du + ds);
+      std::printf("; server %.1f us/req, loadgen %.1f us/req",
+                  static_cast<double>(du + ds - client) / reqs, static_cast<double>(client) / reqs);
+    }
+    std::printf("\n");
   }
   if (server != nullptr) {
-    const auto& stats = server->committer()->stats();
-    std::printf("group_commit: requests=%llu batches=%llu fsyncs=%llu deduped=%llu\n",
-                static_cast<unsigned long long>(stats.requests.load()),
-                static_cast<unsigned long long>(stats.batches.load()),
-                static_cast<unsigned long long>(stats.fsyncs_issued.load()),
-                static_cast<unsigned long long>(stats.deduped.load()));
+    const GcSnap gc1 = gc_snap();
+    const uint64_t batches = gc1.batches - gc0.batches;
+    std::printf(
+        "group_commit: requests=%llu batches=%llu fsyncs=%llu deduped=%llu barrier_us=%.1f\n",
+        static_cast<unsigned long long>(gc1.requests - gc0.requests),
+        static_cast<unsigned long long>(batches),
+        static_cast<unsigned long long>(gc1.fsyncs - gc0.fsyncs),
+        static_cast<unsigned long long>(gc1.deduped - gc0.deduped),
+        batches > 0 ? static_cast<double>(gc1.barrier_ns - gc0.barrier_ns) / 1e3 /
+                          static_cast<double>(batches)
+                    : 0.0);
     server->Stop();
   }
   return result.aborted ? 1 : 0;

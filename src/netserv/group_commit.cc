@@ -63,7 +63,7 @@ void GroupCommitter::Stop() {
 
 void GroupCommitter::OnDirty(int fd) {
   std::scoped_lock lock(mu_);
-  dirty_.insert(fd);
+  dirty_[fd] = close_epoch_;
 }
 
 void GroupCommitter::OnClose(int fd) {
@@ -99,6 +99,13 @@ Status GroupCommitter::Fsync(int fd) {
 }
 
 void GroupCommitter::CommitterMain() {
+  using Clock = std::chrono::steady_clock;
+  const auto max_wait = std::chrono::nanoseconds(options_.max_wait_us * 1000);
+  const auto quiet = std::min(std::chrono::nanoseconds(options_.quiet_us * 1000), max_wait);
+  // Running average barrier time, avg = (sample + 3·avg)/4 as jbd2 keeps
+  // its average commit time. Seeded with the window, so the first batch
+  // waits exactly as it would without the average.
+  auto avg_barrier = max_wait;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return stop_ || open_ != nullptr; });
@@ -110,31 +117,40 @@ void GroupCommitter::CommitterMain() {
     // close early once arrivals go quiet: sessions blocked on THIS barrier
     // cannot submit again until it commits, so a quiet period means the
     // stragglers we are waiting for do not exist and the rest of the window
-    // would be pure idle time.
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::microseconds(options_.max_wait_us);
-    uint64_t quiet = std::min(options_.quiet_us, options_.max_wait_us);
-    for (;;) {
-      size_t before = open_->fds.size();
-      if (before >= options_.max_batch || stop_) {
-        break;
-      }
-      auto slice = std::chrono::steady_clock::now() + std::chrono::microseconds(quiet);
-      bool closed = work_cv_.wait_until(lock, std::min(slice, deadline), [&] {
-        return stop_ || open_->fds.size() >= options_.max_batch;
-      });
-      if (closed || std::chrono::steady_clock::now() >= deadline) {
-        break;
-      }
-      if (open_->fds.size() == before) {
-        break;  // a full quiet slice with no arrivals: commit now
+    // would be pure idle time. A barrier that costs less than one quiet
+    // slice is not worth waiting for at all: the shortest wait that could
+    // gather company costs more than a barrier of the batch's own, so the
+    // batch closes as soon as the committer picks it up.
+    if (avg_barrier >= quiet) {
+      const auto deadline = Clock::now() + max_wait;
+      for (;;) {
+        size_t before = open_->fds.size();
+        if (before >= options_.max_batch || stop_) {
+          break;
+        }
+        auto slice = Clock::now() + quiet;
+        bool closed = work_cv_.wait_until(lock, std::min(slice, deadline), [&] {
+          return stop_ || open_->fds.size() >= options_.max_batch;
+        });
+        if (closed || Clock::now() >= deadline) {
+          break;
+        }
+        if (open_->fds.size() == before) {
+          break;  // a full quiet slice with no arrivals: commit now
+        }
       }
     }
     std::shared_ptr<Batch> batch = std::move(open_);
     open_ = nullptr;
+    const uint64_t covered = close_epoch_++;  // dirty marks up to here predate the close
     std::vector<int> fds = batch->fds;  // fds stay open: every owner is blocked in Fsync()
     lock.unlock();
 
+    const auto t0 = Clock::now();
     Status s = IssueBarrier(std::move(fds));
+    const auto took = std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0);
+    avg_barrier = (took + 3 * avg_barrier) / 4;
+    stats_.barrier_ns.fetch_add(static_cast<uint64_t>(took.count()), std::memory_order_relaxed);
 
     lock.lock();
     stats_.requests.fetch_add(batch->fds.size(), std::memory_order_relaxed);
@@ -142,12 +158,15 @@ void GroupCommitter::CommitterMain() {
     if (s.ok()) {
       // The barrier covered everything dirty at close time. Under kSyncfs
       // it covered every dirty fd on the filesystem; under kFsyncPerFd,
-      // exactly the batch's fds.
+      // exactly the batch's fds. Marks set while it was in flight stay.
       if (options_.barrier == Barrier::kSyncfs) {
-        dirty_.clear();
+        std::erase_if(dirty_, [&](const auto& mark) { return mark.second <= covered; });
       } else {
         for (int fd : batch->fds) {
-          dirty_.erase(fd);
+          auto it = dirty_.find(fd);
+          if (it != dirty_.end() && it->second <= covered) {
+            dirty_.erase(it);
+          }
         }
       }
     } else {
@@ -157,8 +176,8 @@ void GroupCommitter::CommitterMain() {
       // fds whose owners are still buffering in the open batch — and fail
       // the open batch's waiters outright rather than issuing them a
       // trivially-"successful" barrier over already-dropped pages.
-      for (int fd : dirty_) {
-        poisoned_.insert(fd);
+      for (const auto& mark : dirty_) {
+        poisoned_.insert(mark.first);
       }
       dirty_.clear();
       if (open_ != nullptr) {

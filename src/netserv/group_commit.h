@@ -11,6 +11,16 @@
 // acknowledgment still happens strictly after its durability point, so the
 // acked ⇒ durable contract the crash harness checks is unchanged.
 //
+// A batch is not held open for company that costs more than it saves. The
+// committer times every barrier and keeps a running average,
+// avg = (sample + 3·avg)/4 (jbd2's average commit time), seeded with
+// max_wait_us. While the average barrier costs less than one quiet slice
+// (tmpfs, cache-absorbed flushes: well under a microsecond), the committer
+// closes each batch as soon as it picks it up: the shortest wait that could
+// gather company would cost more than a barrier of the batch's own. Where a
+// barrier costs a quiet slice or more (real media), the batching policy is
+// the window plus the quiet close, unchanged.
+//
 // Two barrier flavors:
 //  * kSyncfs (default): one syncfs() on the store's filesystem persists all
 //    dirty state — files and directory entries — in a single device barrier.
@@ -46,6 +56,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -63,14 +74,19 @@ class GroupCommitter : public goosefs::Fsyncer {
   };
 
   struct Options {
-    // Latency window: how long the committer holds a batch open after its
-    // first request, hoping for company. Bounded so a lone request is never
-    // stuck behind an idle server.
+    // Latency window: how long the committer holds a batch open after it
+    // picks it up, hoping for company. Bounded so a lone request is never
+    // stuck behind an idle server. Held only while the average barrier
+    // costs at least a quiet slice; on cheaper storage batches close at
+    // once. The average starts at max_wait_us, so the first batch always
+    // holds the window.
     uint64_t max_wait_us = 500;
     // Adaptive early close (jbd2-style): if no new request joins the batch
     // for this long, everyone who was going to arrive has arrived — commit
     // now instead of sleeping out the rest of the window. Set equal to
-    // max_wait_us to disable and always hold the full window.
+    // max_wait_us to hold the whole window whenever the committer waits.
+    // Also the threshold below which a barrier counts as cheap and the
+    // committer does not wait at all (see above).
     uint64_t quiet_us = 50;
     // Close the batch early once this many requests have queued.
     uint64_t max_batch = 64;
@@ -91,6 +107,7 @@ class GroupCommitter : public goosefs::Fsyncer {
     std::atomic<uint64_t> deduped{0};        // requests absorbed by fd dedup
     std::atomic<uint64_t> failed_batches{0};  // barriers that returned an error
     std::atomic<uint64_t> poisoned_fails{0};  // Fsync() rejections on poisoned fds
+    std::atomic<uint64_t> barrier_ns{0};      // wall time spent in barriers
   };
 
   explicit GroupCommitter(Options options);
@@ -140,8 +157,12 @@ class GroupCommitter : public goosefs::Fsyncer {
   bool running_ = false;
   bool stop_ = false;
   // Sticky-failure tracking (see the header comment): file fds with
-  // unsynced appends, and fds whose dirty pages a failed barrier dropped.
-  std::unordered_set<int> dirty_;
+  // unsynced appends, each with the close epoch current when it was last
+  // dirtied, and fds whose dirty pages a failed barrier dropped. A batch
+  // closing at epoch e covers only the marks with epoch <= e; an fd dirtied
+  // while that barrier is in flight keeps its mark.
+  std::unordered_map<int, uint64_t> dirty_;
+  uint64_t close_epoch_ = 0;  // batches closed so far
   std::unordered_set<int> poisoned_;
   std::thread committer_;
 };

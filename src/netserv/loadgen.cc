@@ -1,6 +1,7 @@
 #include "src/netserv/loadgen.h"
 
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -824,6 +825,13 @@ LoadgenResult RunLoadgen(const LoadgenOptions& options) {
     fleet.emplace_back([&, t, first, n, pop3_here] {
       Driver driver(options, &spill, first, n, pop3_here);
       parts[t] = driver.Run();
+      struct rusage ru;
+      if (::getrusage(RUSAGE_THREAD, &ru) == 0) {
+        auto us = [](const timeval& tv) {
+          return static_cast<uint64_t>(tv.tv_sec) * 1000000 + static_cast<uint64_t>(tv.tv_usec);
+        };
+        parts[t].client_cpu_us = us(ru.ru_utime) + us(ru.ru_stime);
+      }
     });
   }
   for (auto& th : fleet) {
@@ -840,6 +848,7 @@ LoadgenResult RunLoadgen(const LoadgenOptions& options) {
     merged.tempfails += part.tempfails;
     merged.retries += part.retries;
     merged.shed_connects += part.shed_connects;
+    merged.client_cpu_us += part.client_cpu_us;
     merged.aborted = merged.aborted || part.aborted;
     merged.latencies_us.insert(merged.latencies_us.end(), part.latencies_us.begin(),
                                part.latencies_us.end());

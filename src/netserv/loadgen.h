@@ -73,6 +73,10 @@ struct LoadgenResult {
   // only tags allowed to be durable-but-unacked after a fault soak.
   std::vector<std::string> tempfailed_bodies;
   double wall_ms = 0;
+  // CPU time (user + system) the driver threads themselves used, summed
+  // from each thread's RUSAGE_THREAD. Subtracting it from process CPU
+  // leaves the server's share when the server runs in the same process.
+  uint64_t client_cpu_us = 0;
   bool aborted = false;  // stalled / all connections died before budget drained
 };
 

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -697,6 +699,160 @@ TEST(NetservTest, FailedBarrierStickilyPoisonsDirtyFds) {
   EXPECT_TRUE(committer.Fsync(fd).ok());
   committer.Stop();
   ::close(fd);
+}
+
+// Holds the first syncfs until the test releases it, and fails every
+// barrier syscall while `failing` is set.
+struct GatedSyncSys : fault::FsSyscalls {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  std::atomic<bool> failing{false};
+
+  int Syncfs(int fd) override {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      if (!entered) {
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return released; });
+      }
+    }
+    if (failing.load()) {
+      errno = EIO;
+      return -1;
+    }
+    return fault::FsSyscalls::Syncfs(fd);
+  }
+  int Fsync(int fd) override {
+    if (failing.load()) {
+      errno = EIO;
+      return -1;
+    }
+    return fault::FsSyscalls::Fsync(fd);
+  }
+};
+
+// A successful syncfs covers only what was dirty when its batch closed. An
+// fd dirtied while that barrier is in flight must keep its mark, so the
+// next failed barrier poisons it rather than letting a later Fsync ack
+// pages the failed writeback dropped.
+TEST(NetservTest, DirtyMarkSetDuringBarrierSurvivesIt) {
+  std::string root = TestRoot("gc-epoch");
+  ::mkdir(root.c_str(), 0755);
+  int root_fd = ::open(root.c_str(), O_DIRECTORY | O_RDONLY);
+  ASSERT_GE(root_fd, 0);
+  int fd_a = ::open((root + "/a").c_str(), O_CREAT | O_RDWR, 0644);
+  ASSERT_GE(fd_a, 0);
+  int fd_b = ::open((root + "/b").c_str(), O_CREAT | O_RDWR, 0644);
+  ASSERT_GE(fd_b, 0);
+  GatedSyncSys gate;
+  GroupCommitter committer(GroupCommitter::Options{
+      .max_wait_us = 100,
+      .barrier = GroupCommitter::Barrier::kSyncfs,
+      .syncfs_fd = root_fd,
+      .sys = &gate,
+  });
+  committer.Start();
+
+  std::thread first([&] { EXPECT_TRUE(committer.Fsync(fd_a).ok()); });
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    gate.cv.wait(lock, [&] { return gate.entered; });
+  }
+  committer.OnDirty(fd_b);  // the first barrier is in flight
+  {
+    std::scoped_lock lock(gate.mu);
+    gate.released = true;
+  }
+  gate.cv.notify_all();
+  first.join();
+
+  gate.failing.store(true);
+  EXPECT_FALSE(committer.Fsync(fd_a).ok());
+  gate.failing.store(false);
+  // fd_b's data was never covered by a successful barrier.
+  EXPECT_FALSE(committer.Fsync(fd_b).ok());
+  EXPECT_EQ(committer.stats().poisoned_fails.load(), 1u);
+  committer.Stop();
+  ::close(fd_a);
+  ::close(fd_b);
+  ::close(root_fd);
+}
+
+// Barrier syscalls that cost a fixed delay and touch nothing.
+struct TimedSyncSys : fault::FsSyscalls {
+  explicit TimedSyncSys(std::chrono::microseconds delay) : delay(delay) {}
+  std::chrono::microseconds delay;
+  int Fsync(int /*fd*/) override {
+    std::this_thread::sleep_for(delay);
+    return 0;
+  }
+  int Syncfs(int /*fd*/) override {
+    std::this_thread::sleep_for(delay);
+    return 0;
+  }
+};
+
+// Free barriers stop costing a window per batch: once the average barrier
+// (seeded with the 200 ms window) falls below a quiet slice, a lone
+// caller's batches close as soon as the committer picks them up.
+TEST(NetservTest, CheapBarriersCloseBatchesAtOnce) {
+  constexpr uint64_t kWindowUs = 200 * 1000;
+  constexpr int kCalls = 50;
+  TimedSyncSys free_sys(std::chrono::microseconds(0));
+  GroupCommitter committer(GroupCommitter::Options{
+      .max_wait_us = kWindowUs,
+      .quiet_us = kWindowUs,
+      .barrier = GroupCommitter::Barrier::kFsyncPerFd,
+      .sys = &free_sys,
+  });
+  committer.Start();
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_TRUE(committer.Fsync(3).ok());  // the shim never touches the fd
+  }
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  committer.Stop();
+  EXPECT_EQ(committer.stats().requests.load(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(committer.stats().batches.load(), static_cast<uint64_t>(kCalls));
+  // A fixed window holds each batch 200 ms: 10 s in all. Only the first
+  // batch, before any barrier was timed, holds it here.
+  EXPECT_LT(elapsed, std::chrono::microseconds(10 * kWindowUs));
+}
+
+// Where a barrier costs more than a quiet slice, batching is as before:
+// sessions pile up behind the barrier in flight and share the next one.
+TEST(NetservTest, SlowBarriersStillCoalesce) {
+  constexpr auto kBarrier = std::chrono::milliseconds(5);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 10;
+  TimedSyncSys slow_sys(kBarrier);
+  GroupCommitter committer(GroupCommitter::Options{
+      .barrier = GroupCommitter::Barrier::kSyncfs,
+      .syncfs_fd = 0,  // never reaches a real syncfs
+      .sys = &slow_sys,
+  });
+  committer.Start();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        EXPECT_TRUE(committer.Fsync(100 + t).ok());
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  committer.Stop();
+  const auto& stats = committer.stats();
+  EXPECT_EQ(stats.requests.load(), static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_LT(stats.batches.load(), stats.requests.load());
+  EXPECT_GE(stats.barrier_ns.load(),
+            stats.batches.load() *
+                static_cast<uint64_t>(std::chrono::nanoseconds(kBarrier).count()));
 }
 
 // Idle connections are reaped at the deadline with a protocol farewell, and
